@@ -2,18 +2,15 @@
 // deployment (Section 2.1, Figure 2) as a daemon.
 //
 //   $ ./cdbtune_serve                 # in-process demo: 8 concurrent sessions
-//   $ ./cdbtune_serve --listen NAME [--checkpoint PATH] [--restore]
+//   $ ./cdbtune_serve --listen HOST:PORT [--checkpoint PATH] [--restore]
 //                     [--autosave N] [--safety on|off] [--safety-margin F]
 //                     [--safety-k N] [--safety-tr F] [--safety-drift F]
-//                     [--tcp HOST:PORT] [--max-conns N] [--sendq-bytes N]
-//                                     # daemon on abstract AF_UNIX socket NAME
-//                                     # (--tcp adds the epoll binary front end
-//                                     #  on HOST:PORT; both serve one verb
-//                                     #  table and one session registry)
-//   $ ./cdbtune_serve --send NAME 'OPEN engine=sim' 'STEP id=0' ...
+//                     [--max-conns N] [--sendq-bytes N]
+//                                     # daemon: epoll TCP front end with
+//                                     # binary framing on HOST:PORT (port 0
+//                                     # picks one; the bound port is printed)
+//   $ ./cdbtune_serve --send HOST:PORT 'OPEN engine=sim' 'STEP id=0' ...
 //                                     # one-shot client: send lines, print replies
-//   $ ./cdbtune_serve --send-tcp HOST:PORT 'PING' ...
-//                                     # same, over the TCP binary framing
 //
 // With --checkpoint the daemon autosaves its full state (model, pool, every
 // open session) every N rounds (default 1); --restore rebuilds the server
@@ -32,19 +29,16 @@
 // exercises REBUILD: a reshaped agent warm-started from the server's
 // experience pool must out-tune the same architecture starting cold.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/mini_cdb.h"
 #include "env/simulated_cdb.h"
 #include "server/dispatch.h"
-#include "server/io/socket_server.h"
 #include "server/net/frame_client.h"
 #include "server/net/tcp_server.h"
 #include "server/tuning_server.h"
@@ -337,12 +331,11 @@ bool ParseHostPort(const std::string& spec, std::string* host,
 }
 
 struct ListenFlags {
-  std::string socket_name;
+  /// IPv4 "HOST:PORT" of the TCP front end.
+  std::string address;
   std::string checkpoint;
   bool restore = false;
   int autosave_rounds = 1;
-  /// Optional epoll/TCP binary front end ("HOST:PORT"; empty = off).
-  std::string tcp;
   size_t max_conns = 256;
   size_t sendq_bytes = 256 * 1024;
   /// Server-wide guardrail defaults (DESIGN.md §12); sessions can still
@@ -355,6 +348,15 @@ struct ListenFlags {
 };
 
 int RunListen(const ListenFlags& flags) {
+  server::net::TcpServerOptions tcp_options;
+  if (!ParseHostPort(flags.address, &tcp_options.host, &tcp_options.port)) {
+    std::fprintf(stderr, "--listen wants HOST:PORT, got '%s'\n",
+                 flags.address.c_str());
+    return 2;
+  }
+  tcp_options.max_connections = flags.max_conns;
+  tcp_options.sendq_bytes = flags.sendq_bytes;
+
   server::TuningServerOptions server_options;
   if (!flags.checkpoint.empty()) {
     server_options.autosave_path = flags.checkpoint;
@@ -406,68 +408,33 @@ int RunListen(const ListenFlags& flags) {
       return 1;
     }
   }
-  // One dispatcher, N transports: the AF_UNIX text listener and (with
-  // --tcp) the epoll binary listener route every decoded request through
-  // the same verb table, and STATUS scrapes both front ends' telemetry.
+  // The TCP front end routes every decoded request through the shared verb
+  // table, and STATUS scrapes its telemetry.
   server::Dispatcher dispatcher(&srv);
-  server::io::SocketServerOptions socket_options;
-  socket_options.socket_name = flags.socket_name;
-  server::io::SocketServer front(&dispatcher, socket_options);
+  server::net::TcpServer front(&dispatcher, tcp_options);
   dispatcher.RegisterTransport(&front);
-
-  std::unique_ptr<server::net::TcpServer> tcp_front;
-  if (!flags.tcp.empty()) {
-    server::net::TcpServerOptions tcp_options;
-    if (!ParseHostPort(flags.tcp, &tcp_options.host, &tcp_options.port)) {
-      std::fprintf(stderr, "--tcp wants HOST:PORT, got '%s'\n",
-                   flags.tcp.c_str());
-      return 2;
-    }
-    tcp_options.max_connections = flags.max_conns;
-    tcp_options.sendq_bytes = flags.sendq_bytes;
-    tcp_front =
-        std::make_unique<server::net::TcpServer>(&dispatcher, tcp_options);
-    dispatcher.RegisterTransport(tcp_front.get());
-  }
-
   auto started = front.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "Start: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("listening on abstract socket @%s (send SHUTDOWN to stop)\n",
-              flags.socket_name.c_str());
-  if (tcp_front != nullptr) {
-    auto tcp_started = tcp_front->Start();
-    if (!tcp_started.ok()) {
-      std::fprintf(stderr, "TCP Start: %s\n", tcp_started.ToString().c_str());
-      front.Stop();
-      return 1;
-    }
-    std::printf("listening on tcp %s:%u (binary framing)\n",
-                flags.tcp.substr(0, flags.tcp.rfind(':')).c_str(),
-                tcp_front->port());
-    // Two front ends, either may receive SHUTDOWN: poll both (the waits
-    // are CV-based per front end; a cheap poll keeps the wiring simple).
-    while (!front.shutdown_requested() && !tcp_front->shutdown_requested()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-  } else {
-    front.WaitForShutdown();
-  }
+  // Flushed so a supervising script reading piped stdout learns the port
+  // (option port 0 binds an ephemeral one) before the first request.
+  std::printf("listening on tcp %s:%u (send SHUTDOWN to stop)\n",
+              tcp_options.host.c_str(), front.port());
+  std::fflush(stdout);
+  front.WaitForShutdown();
   srv.DrainAndStop();
   front.Stop();
-  if (tcp_front != nullptr) tcp_front->Stop();
   std::printf("drained and stopped\n");
   return 0;
 }
 
-int RunSendTcp(const std::string& spec, int argc, char** argv, int first) {
+int RunSend(const std::string& spec, int argc, char** argv, int first) {
   std::string host;
   uint16_t port = 0;
   if (!ParseHostPort(spec, &host, &port)) {
-    std::fprintf(stderr, "--send-tcp wants HOST:PORT, got '%s'\n",
-                 spec.c_str());
+    std::fprintf(stderr, "--send wants HOST:PORT, got '%s'\n", spec.c_str());
     return 2;
   }
   server::net::FrameClient client;
@@ -487,34 +454,12 @@ int RunSendTcp(const std::string& spec, int argc, char** argv, int first) {
   return 0;
 }
 
-int RunSend(const std::string& name, int argc, char** argv, int first) {
-  auto conn = server::io::Socket::Connect(name);
-  if (!conn.ok()) {
-    std::fprintf(stderr, "Connect: %s\n", conn.status().ToString().c_str());
-    return 1;
-  }
-  for (int i = first; i < argc; ++i) {
-    auto sent = conn->SendLine(argv[i]);
-    if (!sent.ok()) {
-      std::fprintf(stderr, "SendLine: %s\n", sent.ToString().c_str());
-      return 1;
-    }
-    auto reply = conn->RecvLine();
-    if (!reply.ok()) {
-      std::fprintf(stderr, "RecvLine: %s\n", reply.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", reply->c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "--listen") == 0) {
     ListenFlags flags;
-    flags.socket_name = argv[2];
+    flags.address = argv[2];
     for (int i = 3; i < argc; ++i) {
       if (std::strcmp(argv[i], "--checkpoint") == 0 && i + 1 < argc) {
         flags.checkpoint = argv[++i];
@@ -540,8 +485,6 @@ int main(int argc, char** argv) {
         flags.safety_tr = std::atof(argv[++i]);
       } else if (std::strcmp(argv[i], "--safety-drift") == 0 && i + 1 < argc) {
         flags.safety_drift = std::atof(argv[++i]);
-      } else if (std::strcmp(argv[i], "--tcp") == 0 && i + 1 < argc) {
-        flags.tcp = argv[++i];
       } else if (std::strcmp(argv[i], "--max-conns") == 0 && i + 1 < argc) {
         flags.max_conns = static_cast<size_t>(std::atol(argv[++i]));
       } else if (std::strcmp(argv[i], "--sendq-bytes") == 0 && i + 1 < argc) {
@@ -556,17 +499,13 @@ int main(int argc, char** argv) {
   if (argc >= 4 && std::strcmp(argv[1], "--send") == 0) {
     return RunSend(argv[2], argc, argv, 3);
   }
-  if (argc >= 4 && std::strcmp(argv[1], "--send-tcp") == 0) {
-    return RunSendTcp(argv[2], argc, argv, 3);
-  }
   if (argc > 1) {
     std::fprintf(stderr,
-                 "usage: cdbtune_serve [--listen NAME [--checkpoint PATH] "
+                 "usage: cdbtune_serve [--listen HOST:PORT [--checkpoint PATH] "
                  "[--restore] [--autosave N] [--safety on|off] "
                  "[--safety-margin F] [--safety-k N] [--safety-tr F] "
-                 "[--safety-drift F] [--tcp HOST:PORT] [--max-conns N] "
-                 "[--sendq-bytes N] | "
-                 "--send NAME LINE... | --send-tcp HOST:PORT LINE...]\n");
+                 "[--safety-drift F] [--max-conns N] [--sendq-bytes N] | "
+                 "--send HOST:PORT LINE...]\n");
     return 2;
   }
   return RunDemo();

@@ -155,6 +155,9 @@ util::Status MiniCdb::ApplyConfig(const knobs::Config& config) {
   knobs::Config previous = config_;
   config_ = registry_.Sanitize(config);
   util::Status status = Rebuild();
+  // A config the data does not fit under (e.g. the redo log eats the disk
+  // the table needs) fails like one the instance cannot start with.
+  if (status.ok()) status = BulkLoad();
   if (!status.ok()) {
     // Crash: the instance restarts on the previous healthy configuration.
     config_ = std::move(previous);
@@ -165,7 +168,7 @@ util::Status MiniCdb::ApplyConfig(const knobs::Config& config) {
     CDBTUNE_CHECK_OK(BulkLoad());
     return status;
   }
-  return BulkLoad();
+  return util::Status::Ok();
 }
 
 void MiniCdb::Reset() {

@@ -81,10 +81,6 @@ class TcpServer : public TransportStatsSource {
   /// Blocks until a client requests SHUTDOWN or Stop() is called.
   void WaitForShutdown();
 
-  /// True once a client's SHUTDOWN was dispatched (non-blocking peek, for
-  /// daemons multiplexing several front ends).
-  bool shutdown_requested() const;
-
   /// Idempotent graceful stop: halts the reactor, joins every thread,
   /// closes every connection.
   void Stop();
@@ -169,7 +165,13 @@ class TcpServer : public TransportStatsSource {
   /// Front-end lock (lock_rank::kNetFrontEnd): work queue, lifecycle,
   /// telemetry. Never held across dispatch or any socket syscall.
   mutable util::Mutex mu_{util::lock_rank::kNetFrontEnd, "TcpServer::mu_"};
+  /// Workers wait here for queued requests. Distinct from shutdown_cv_:
+  /// with one shared condition variable, an enqueue's NotifyOne can wake a
+  /// WaitForShutdown() waiter instead of a worker — that waiter re-sleeps
+  /// (its predicate is false) and the wakeup is lost, stranding the queued
+  /// request forever.
   util::CondVar work_cv_;
+  /// WaitForShutdown() blocks here until SHUTDOWN arrives or Stop() runs.
   util::CondVar shutdown_cv_;
   std::deque<WorkItem> work_queue_ CDBTUNE_GUARDED_BY(mu_);
   bool started_ CDBTUNE_GUARDED_BY(mu_) = false;

@@ -164,11 +164,7 @@ std::string CollectorBlob(const tuner::MetricsCollector& collector) {
 util::Status LoadCollectorBlob(const std::string& blob,
                                tuner::MetricsCollector* collector) {
   std::istringstream is(blob);
-  collector->LoadState(is);
-  if (is.fail()) {
-    return util::Status::DataLoss("collector statistics blob is malformed");
-  }
-  return util::Status::Ok();
+  return collector->LoadState(is);
 }
 
 }  // namespace

@@ -100,18 +100,26 @@ util::Status CdbTuner::SaveModel(const std::string& prefix) const {
 }
 
 util::Status CdbTuner::LoadModel(const std::string& prefix) {
-  CDBTUNE_RETURN_IF_ERROR(agent_->Load(prefix));
+  // Parse the whole .meta before touching anything, so a malformed file
+  // leaves the tuner exactly as it was.
   std::ifstream is(prefix + ".meta");
   if (!is.good()) return util::Status::NotFound("cannot open " + prefix + ".meta");
-  collector_.LoadState(is);
+  MetricsCollector collector;
+  CDBTUNE_RETURN_IF_ERROR(collector.LoadState(is));
+  double score = 0.0;
   size_t n = 0;
-  is >> best_action_score_ >> n;
+  is >> score >> n;
   if (is.fail() || n > space_.action_dim() * 4) {
-    return util::Status::Internal("malformed model meta file");
+    return util::Status::DataLoss("malformed model meta file");
   }
-  best_offline_action_.assign(n, 0.0);
-  for (double& a : best_offline_action_) is >> a;
-  if (is.fail()) return util::Status::Internal("malformed model meta file");
+  std::vector<double> action(n, 0.0);
+  for (double& a : action) is >> a;
+  if (is.fail()) return util::Status::DataLoss("malformed model meta file");
+
+  CDBTUNE_RETURN_IF_ERROR(agent_->Load(prefix));
+  collector_ = std::move(collector);
+  best_action_score_ = score;
+  best_offline_action_ = std::move(action);
   return util::Status::Ok();
 }
 

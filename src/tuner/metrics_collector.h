@@ -7,6 +7,7 @@
 #include "env/metrics.h"
 #include "tuner/reward.h"
 #include "util/stats.h"
+#include "util/status.h"
 
 namespace cdbtune::tuner {
 
@@ -41,8 +42,11 @@ class MetricsCollector {
 
   /// Persists / restores the normalization statistics (part of a trained
   /// model's state: the network expects inputs scaled the way it saw them).
+  /// A malformed input returns kDataLoss and changes nothing.
   void SaveState(std::ostream& os) const { standardizer_.SaveState(os); }
-  void LoadState(std::istream& is) { standardizer_.LoadState(is); }
+  util::Status LoadState(std::istream& is) {
+    return standardizer_.LoadState(is);
+  }
 
  private:
   util::VectorStandardizer standardizer_;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <string>
+#include <utility>
 
 #include "util/check.h"
 
@@ -117,19 +119,25 @@ void VectorStandardizer::SaveState(std::ostream& os) const {
   }
 }
 
-void VectorStandardizer::LoadState(std::istream& is) {
+util::Status VectorStandardizer::LoadState(std::istream& is) {
   size_t dim = 0;
   is >> dim;
-  CDBTUNE_CHECK(dim == stats_.size())
-      << "standardizer dimension mismatch: file " << dim << " vs "
-      << stats_.size();
-  for (RunningStat& s : stats_) {
+  if (is.fail()) return util::Status::DataLoss("malformed standardizer state");
+  if (dim != stats_.size()) {
+    return util::Status::DataLoss(
+        "standardizer dimension mismatch: file " + std::to_string(dim) +
+        " vs " + std::to_string(stats_.size()));
+  }
+  std::vector<RunningStat> loaded(dim);
+  for (RunningStat& s : loaded) {
     size_t count = 0;
     double mean = 0, m2 = 0, lo = 0, hi = 0;
     is >> count >> mean >> m2 >> lo >> hi;
     s.RestoreMoments(count, mean, m2, lo, hi);
   }
-  CDBTUNE_CHECK(!is.fail()) << "malformed standardizer state";
+  if (is.fail()) return util::Status::DataLoss("malformed standardizer state");
+  stats_ = std::move(loaded);
+  return util::Status::Ok();
 }
 
 double Ema::Add(double x) {

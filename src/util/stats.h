@@ -5,6 +5,8 @@
 #include <iosfwd>
 #include <vector>
 
+#include "util/status.h"
+
 namespace cdbtune::util {
 
 /// Single-pass mean/variance accumulator (Welford's algorithm).
@@ -81,9 +83,11 @@ class VectorStandardizer {
   size_t count() const { return stats_.empty() ? 0 : stats_[0].count(); }
 
   /// Persists / restores the per-dimension statistics, so a trained model's
-  /// input normalization travels with its network weights.
+  /// input normalization travels with its network weights. LoadState parses
+  /// the whole input before applying it: a dimension mismatch or malformed
+  /// text returns kDataLoss and leaves the statistics untouched.
   void SaveState(std::ostream& os) const;
-  void LoadState(std::istream& is);
+  util::Status LoadState(std::istream& is);
 
  private:
   std::vector<RunningStat> stats_;

@@ -566,6 +566,33 @@ TEST(MiniCdbTest, OversizedRedoCrashesAndRecovers) {
   EXPECT_GT(r.value().external.throughput_tps, 0.0);
 }
 
+TEST(MiniCdbTest, RedoThatCrowdsOutTheTableRevertsToPreviousConfig) {
+  MiniCdbOptions options;
+  options.table_rows = 5000;
+  MiniCdb db(env::CdbA(), options);
+  auto& reg = db.registry();
+  const knobs::Config healthy = db.current_config();
+  // 16 x 6 GiB of redo fits the 100 GiB disk on its own but leaves too
+  // little room for the (reference-scaled) 8.5 GiB table: the instance
+  // starts, then cannot load its data.
+  knobs::Config crowded = reg.DefaultConfig();
+  crowded[*reg.FindIndex("innodb_log_file_size")] = 6.0 * kGiB;
+  crowded[*reg.FindIndex("innodb_log_files_in_group")] = 16;
+  EXPECT_FALSE(db.ApplyConfig(crowded).ok());
+  EXPECT_EQ(db.current_config(), healthy);
+
+  // Regression: the failed config used to stay installed, so the next
+  // crashing apply "recovered" onto it and aborted the process.
+  knobs::Config bad = reg.DefaultConfig();
+  bad[*reg.FindIndex("innodb_log_file_size")] = 16.0 * kGiB;
+  bad[*reg.FindIndex("innodb_log_files_in_group")] = 16;
+  EXPECT_EQ(db.ApplyConfig(bad).code(), util::StatusCode::kCrashed);
+  EXPECT_EQ(db.current_config(), healthy);
+  auto r = db.RunStress(workload::SysbenchReadWrite(), 150.0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r.value().external.throughput_tps, 0.0);
+}
+
 TEST(WalTest, DurableLsnAdvancesOnlyOnFsync) {
   VirtualClock clock;
   DiskManager disk(&clock, env::DiskType::kSsd, 100 * 1024 * 1024);

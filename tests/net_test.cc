@@ -1,16 +1,15 @@
 // Tests for the event-driven TCP front end (src/server/net/): framing
 // robustness against torn/oversized/garbage streams, the epoll EventLoop's
-// ownership and task-queue contract, and the TcpServer's back-pressure
-// behavior — typed BUSY sheds, slow-loris drops, and a stalled or killed
-// client never blocking other sessions. The AF_UNIX shed-path regression
-// (non-blocking busy notice) lives here too, next to the transport
-// telemetry it shares.
+// ownership and task-queue contract, and the TcpServer's lifecycle and
+// back-pressure behavior — typed BUSY sheds, slow-loris drops, a stalled or
+// killed client never blocking other sessions, and Stop()/WaitForShutdown()
+// with clients attached.
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -20,8 +19,6 @@
 #include "gtest/gtest.h"
 #include "env/simulated_cdb.h"
 #include "server/dispatch.h"
-#include "server/io/line_socket.h"
-#include "server/io/socket_server.h"
 #include "server/net/event_loop.h"
 #include "server/net/frame.h"
 #include "server/net/frame_client.h"
@@ -254,6 +251,15 @@ std::unique_ptr<FrameClient> ConnectTo(const TcpFixture& fixture) {
   return client;
 }
 
+/// Bounds the client's blocking reads, so a reply the server never sends
+/// fails the test instead of wedging the suite.
+void BoundReads(const FrameClient& client) {
+  timeval timeout{.tv_sec = 5, .tv_usec = 0};
+  ASSERT_EQ(::setsockopt(client.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+}
+
 TEST(TcpServerTest, ServesSessionLifecycleOverBinaryFraming) {
   TcpFixture fixture;
   ASSERT_TRUE(fixture.Start().ok());
@@ -287,9 +293,73 @@ TEST(TcpServerTest, ServesSessionLifecycleOverBinaryFraming) {
   ASSERT_TRUE(bye.ok());
   EXPECT_EQ(*bye, "OK bye=1");
   fixture.front->WaitForShutdown();
-  EXPECT_TRUE(fixture.front->shutdown_requested());
   fixture.server.DrainAndStop();
   fixture.front->Stop();
+}
+
+// Regression: the daemon parks its main thread in WaitForShutdown() while
+// workers serve requests. With one condition variable shared by both, an
+// enqueue's NotifyOne could wake the shutdown waiter instead of a worker;
+// the waiter re-slept and the wakeup was consumed, stranding the queued
+// request and hanging its client forever.
+TEST(TcpServerTest, ServesClientsWhileWaitForShutdownBlocks) {
+  TcpFixture fixture;
+  ASSERT_TRUE(fixture.Start().ok());
+  std::thread waiter([&] { fixture.front->WaitForShutdown(); });
+
+  // Failures break out instead of returning, so the waiter is always
+  // released and joined below.
+  for (int i = 0; i < 200; ++i) {
+    auto client = ConnectTo(fixture);
+    if (client == nullptr) break;
+    BoundReads(*client);
+    auto reply = client->Call("PING");
+    if (!reply.ok()) {
+      ADD_FAILURE() << "connection " << i
+                    << " never served: " << reply.status().ToString();
+      break;
+    }
+    EXPECT_EQ(*reply, "OK pong=1");
+  }
+
+  bool shut_down = false;
+  auto client = ConnectTo(fixture);
+  if (client != nullptr) {
+    BoundReads(*client);
+    auto bye = client->Call("SHUTDOWN");
+    shut_down = bye.ok() && *bye == "OK bye=1";
+    EXPECT_TRUE(shut_down) << (bye.ok() ? *bye : bye.status().ToString());
+  }
+  if (!shut_down) fixture.front->Stop();  // Releases the waiter.
+  waiter.join();
+  fixture.server.DrainAndStop();
+  fixture.front->Stop();
+}
+
+TEST(TcpServerTest, StopClosesIdleConnections) {
+  net::TcpServerOptions options;
+  options.worker_threads = 1;
+  TcpFixture fixture(options);
+  ASSERT_TRUE(fixture.Start().ok());
+  // One client that was served and then went idle, one that never sent a
+  // byte: Stop must return with both attached, and both must then read
+  // end-of-stream rather than block.
+  auto served = ConnectTo(fixture);
+  ASSERT_NE(served, nullptr);
+  ASSERT_TRUE(served->Call("PING").ok());
+  auto silent = ConnectTo(fixture);
+  ASSERT_NE(silent, nullptr);
+  BoundReads(*served);
+  BoundReads(*silent);
+
+  fixture.front->Stop();
+  for (FrameClient* client : {served.get(), silent.get()}) {
+    auto frame = client->ReadFrame();
+    ASSERT_FALSE(frame.ok());
+    EXPECT_NE(frame.status().message().find("closed by server"),
+              std::string::npos)
+        << frame.status().ToString();
+  }
 }
 
 TEST(TcpServerTest, PipeliningBeyondTheCapStillAnswersEveryRequest) {
@@ -329,19 +399,26 @@ TEST(TcpServerTest, ShedsConnectionsOverBudgetWithTypedBusyFrame) {
   ASSERT_NE(first, nullptr);
   ASSERT_TRUE(first->Call("PING").ok());  // First connection is serving.
 
-  // The second connection must be shed with a typed BUSY frame, then
+  // A refused peer that never reads its BUSY frame: the shed write is
+  // non-blocking, so this peer must not stop the reactor from shedding the
+  // next one.
+  auto mute = ConnectTo(fixture);
+  ASSERT_NE(mute, nullptr);
+
+  // The next connection must be shed with a typed BUSY frame, then
   // closed — never queued, never blocking the reactor.
-  auto second = ConnectTo(fixture);
-  ASSERT_NE(second, nullptr);
-  auto frame = second->ReadFrame();
+  auto refused = ConnectTo(fixture);
+  ASSERT_NE(refused, nullptr);
+  BoundReads(*refused);
+  auto frame = refused->ReadFrame();
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame->type, FrameType::kBusy);
-  EXPECT_FALSE(second->ReadFrame().ok()) << "shed connection must close";
+  EXPECT_FALSE(refused->ReadFrame().ok()) << "shed connection must close";
 
-  // The surviving connection is unaffected, and telemetry shows the shed.
+  // The surviving connection is unaffected, and telemetry shows both sheds.
   auto status = first->Call("STATUS");
   ASSERT_TRUE(status.ok());
-  EXPECT_NE(status->find("tcp_shed=1"), std::string::npos) << *status;
+  EXPECT_NE(status->find("tcp_shed=2"), std::string::npos) << *status;
   fixture.front->Stop();
 }
 
@@ -461,15 +538,8 @@ TEST(TcpServerTest, KilledClientMidEpisodeDoesNotDisturbOtherSessions) {
 
 // Transport determinism: the same session spec stepped over the binary TCP
 // transport and through the in-process dispatcher must produce bitwise
-// identical step responses — the wire format adds no nondeterminism. Gated
-// behind CDBTUNE_NET=epoll (the dedicated ctest leg) because it runs full
-// episodes on two servers.
+// identical step responses — the wire format adds no nondeterminism.
 TEST(TcpServerTest, EpisodesOverTcpMatchInProcessBitwise) {
-  const char* net_mode = std::getenv("CDBTUNE_NET");
-  if (net_mode == nullptr || std::string(net_mode) != "epoll") {
-    GTEST_SKIP() << "set CDBTUNE_NET=epoll to run the transport leg";
-  }
-
   const std::vector<std::string> script = {
       "OPEN engine=sim workload=sysbench_rw seed=42 steps=3",
       "STEP id=0", "STEP id=0", "STEP id=0", "STATUS id=0",
@@ -478,10 +548,10 @@ TEST(TcpServerTest, EpisodesOverTcpMatchInProcessBitwise) {
   // In-process reference.
   TuningServer reference;
   ASSERT_TRUE(reference.AdoptModel(SharedTrainedTuner()).ok());
+  Dispatcher dispatcher(&reference);
   std::vector<std::string> expected;
-  bool shutdown = false;
   for (const std::string& line : script) {
-    expected.push_back(DispatchLine(reference, line, &shutdown));
+    expected.push_back(dispatcher.Dispatch(line).response);
   }
 
   // The same script over epoll/TCP with four concurrent idle connections
@@ -503,57 +573,6 @@ TEST(TcpServerTest, EpisodesOverTcpMatchInProcessBitwise) {
     EXPECT_EQ(*reply, expected[i]) << "diverged on: " << script[i];
   }
   fixture.front->Stop();
-}
-
-// --- AF_UNIX shed path -------------------------------------------------------
-
-// Regression for the accept-loop shed path: the busy notice to a refused
-// connection used a blocking send, so a client that connected and never
-// read could park the acceptor forever. The notice is now best-effort
-// non-blocking (Socket::TrySendLine) — a stalled refused client must not
-// stop later connections from being accepted or refused.
-TEST(SocketServerShedTest, RefusedConnectionsGetBusyNoticeWithoutBlocking) {
-  TuningServer server;
-  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  Dispatcher dispatcher(&server);
-  io::SocketServerOptions options;
-  options.socket_name = "cdbtune-net-shed-" + std::to_string(::getpid());
-  options.worker_threads = 1;
-  options.connection_queue = 1;
-  io::SocketServer front(&dispatcher, options);
-  dispatcher.RegisterTransport(&front);
-  ASSERT_TRUE(front.Start().ok());
-
-  // Occupy the single worker, then fill the single queue slot.
-  auto busy_worker = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(busy_worker.ok());
-  ASSERT_TRUE(busy_worker->SendLine("PING").ok());
-  ASSERT_TRUE(busy_worker->RecvLine().ok());  // Worker now owns this conn.
-  auto queued = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(queued.ok());
-
-  // Refused connections: one that reads its notice, one that never reads.
-  // The non-reader must not wedge the acceptor (the notice send is
-  // non-blocking), proven by the acceptor still refusing the next one.
-  auto refused_mute = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(refused_mute.ok());
-  auto refused_reader = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(refused_reader.ok());
-  auto notice = refused_reader->RecvLine();
-  ASSERT_TRUE(notice.ok()) << notice.status().ToString();
-  EXPECT_EQ(notice->rfind("ERR", 0), 0u) << *notice;
-  EXPECT_NE(notice->find("busy"), std::string::npos) << *notice;
-
-  // The occupied worker's connection still serves, and STATUS through it
-  // reports the sheds via the unix transport's telemetry.
-  ASSERT_TRUE(busy_worker->SendLine("STATUS").ok());
-  auto status = busy_worker->RecvLine();
-  ASSERT_TRUE(status.ok());
-  EXPECT_NE(status->find("unix_shed="), std::string::npos) << *status;
-  EXPECT_EQ(status->find("unix_shed=0"), std::string::npos) << *status;
-
-  front.Stop();
-  server.DrainAndStop();
 }
 
 }  // namespace

@@ -242,7 +242,7 @@ TEST(GuardedSessionTest, GuardrailStateSurvivesCheckpointBitwise) {
   GuardedRun b = MakeGuardedRun(413, options);
   {
     std::istringstream in(collector_state.str());
-    b.collector->LoadState(in);
+    ASSERT_TRUE(b.collector->LoadState(in).ok());
   }
   persist::Decoder dec(mid.bytes());
   ASSERT_TRUE(b.session->RestoreBinary(dec).ok());

@@ -1,17 +1,15 @@
-#include <sys/socket.h>
-#include <sys/time.h>
-
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "persist/atomic_file.h"
+#include "persist/chunk.h"
+#include "rl/noise.h"
 #include "server/dispatch.h"
-#include "server/io/line_socket.h"
-#include "server/io/socket_server.h"
 #include "server/protocol.h"
 #include "server/tuning_server.h"
 #include "env/simulated_cdb.h"
@@ -368,38 +366,76 @@ TEST(TuningServerTest, RecommendServesGreedyActions) {
   EXPECT_EQ(*action, *again) << "greedy inference consumes no rng";
 }
 
-// --- Dispatch + socket front end ---------------------------------------------
+// Regression: a mini-engine tenant used to abort the server. A config whose
+// redo log left too little disk for the table failed MiniCdb's data load but
+// stayed installed, so the next crash recovery rebuilt on it and died. This
+// tenant under the daemon's standard model reaches exactly that sequence.
+TEST(TuningServerTest, MiniTenantSurvivesConfigItsDataDoesNotFit) {
+  auto db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 41);
+  auto space = knobs::KnobSpace::AllTunable(&db->registry());
+  tuner::CdbTuneOptions options;
+  options.max_offline_steps = 200;
+  options.seed = 41;
+  tuner::CdbTuner standard(db.get(), space, options);
+  standard.OfflineTrain(workload::SysbenchReadWrite());
+
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(standard).ok());
+  Dispatcher dispatcher(&server);
+  const std::string opened =
+      dispatcher
+          .Dispatch("OPEN engine=mini workload=tpcc seed=1042 rows=20000 "
+                    "stress_s=60")
+          .response;
+  ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
+  bool crashed = false;
+  std::string stepped;
+  do {
+    stepped = dispatcher.Dispatch("STEP id=0").response;
+    ASSERT_EQ(stepped.rfind("OK", 0), 0u) << stepped;
+    crashed = crashed || stepped.find("crashed=1") != std::string::npos;
+  } while (stepped.find("phase=TUNING") != std::string::npos);
+  EXPECT_TRUE(crashed) << "the tenant no longer reaches a failing config";
+  EXPECT_EQ(dispatcher.Dispatch("CLOSE id=0").response.rfind("OK id=0", 0),
+            0u);
+  EXPECT_EQ(dispatcher.Dispatch("PING").response, "OK pong=1");
+}
+
+// --- Dispatch ----------------------------------------------------------------
 
 TEST(DispatchTest, BasicVerbs) {
   TuningServer server;
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
-  EXPECT_EQ(DispatchLine(server, "PING", &shutdown), "OK pong=1");
-  EXPECT_EQ(DispatchLine(server, "STATUS", &shutdown), "OK sessions=0");
-  EXPECT_EQ(DispatchLine(server, "NOSUCH", &shutdown).rfind("ERR", 0), 0u);
-  EXPECT_EQ(DispatchLine(server, "STEP id=0", &shutdown).rfind("ERR", 0), 0u);
-  EXPECT_FALSE(shutdown);
-  EXPECT_EQ(DispatchLine(server, "SHUTDOWN", &shutdown), "OK bye=1");
-  EXPECT_TRUE(shutdown);
+  Dispatcher dispatcher(&server);
+  EXPECT_EQ(dispatcher.Dispatch("PING").response, "OK pong=1");
+  EXPECT_EQ(dispatcher.Dispatch("STATUS").response, "OK sessions=0");
+  DispatchResult unknown = dispatcher.Dispatch("NOSUCH");
+  EXPECT_EQ(unknown.response.rfind("ERR", 0), 0u);
+  EXPECT_FALSE(unknown.shutdown);
+  EXPECT_EQ(dispatcher.Dispatch("STEP id=0").response.rfind("ERR", 0), 0u);
+  DispatchResult bye = dispatcher.Dispatch("SHUTDOWN");
+  EXPECT_EQ(bye.response, "OK bye=1");
+  EXPECT_TRUE(bye.shutdown);
 }
 
 TEST(DispatchTest, FullSessionLifecycle) {
   TuningServer server;
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
-  std::string opened = DispatchLine(
-      server, "OPEN engine=sim workload=sysbench_rw seed=42 steps=2",
-      &shutdown);
+  Dispatcher dispatcher(&server);
+  std::string opened =
+      dispatcher
+          .Dispatch("OPEN engine=sim workload=sysbench_rw seed=42 steps=2")
+          .response;
   ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  std::string stepped = DispatchLine(server, "STEP id=0 n=2", &shutdown);
+  std::string stepped = dispatcher.Dispatch("STEP id=0 n=2").response;
   EXPECT_EQ(stepped.rfind("OK id=0 step=2", 0), 0u) << stepped;
-  std::string status = DispatchLine(server, "STATUS id=0", &shutdown);
+  std::string status = dispatcher.Dispatch("STATUS id=0").response;
   EXPECT_NE(status.find("phase=FINISHED"), std::string::npos) << status;
-  std::string config = DispatchLine(server, "BEST_CONFIG id=0", &shutdown);
+  std::string config = dispatcher.Dispatch("BEST_CONFIG id=0").response;
   EXPECT_EQ(config.rfind("OK id=0 config=", 0), 0u) << config;
-  std::string closed = DispatchLine(server, "CLOSE id=0", &shutdown);
+  std::string closed = dispatcher.Dispatch("CLOSE id=0").response;
   EXPECT_EQ(closed.rfind("OK id=0 steps=2", 0), 0u) << closed;
-  EXPECT_EQ(DispatchLine(server, "STATUS", &shutdown), "OK sessions=0");
+  EXPECT_EQ(dispatcher.Dispatch("STATUS").response, "OK sessions=0");
 }
 
 TEST(DispatchTest, StatusReportsSafetyState) {
@@ -409,17 +445,18 @@ TEST(DispatchTest, StatusReportsSafetyState) {
   options.safety.rollback_after = 2;
   TuningServer server(options);
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
+  Dispatcher dispatcher(&server);
 
   // safety=1 turns the guardrail on for this tenant; the degrade knobs
   // inject a mid-tune regression into its simulated instance.
-  std::string opened = DispatchLine(
-      server,
-      "OPEN engine=sim workload=sysbench_rw seed=61 steps=5 safety=1 "
-      "degrade=innodb_buffer_pool_size degrade_after=1 degrade_sev=0.9",
-      &shutdown);
+  std::string opened =
+      dispatcher
+          .Dispatch(
+              "OPEN engine=sim workload=sysbench_rw seed=61 steps=5 safety=1 "
+              "degrade=innodb_buffer_pool_size degrade_after=1 degrade_sev=0.9")
+          .response;
   ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  std::string status = DispatchLine(server, "STATUS id=0", &shutdown);
+  std::string status = dispatcher.Dispatch("STATUS id=0").response;
   EXPECT_NE(status.find("safety=1"), std::string::npos) << status;
   EXPECT_NE(status.find("base_tps="), std::string::npos) << status;
   EXPECT_NE(status.find("tr_width="), std::string::npos) << status;
@@ -427,104 +464,30 @@ TEST(DispatchTest, StatusReportsSafetyState) {
 
   // Two degraded steps reach K consecutive violations: the guardrail rolls
   // the tenant back and STATUS shows it parked on last-known-good.
-  ASSERT_EQ(DispatchLine(server, "STEP id=0 n=2", &shutdown).rfind("OK", 0),
+  ASSERT_EQ(dispatcher.Dispatch("STEP id=0 n=2").response.rfind("OK", 0),
             0u);
-  status = DispatchLine(server, "STATUS id=0", &shutdown);
+  status = dispatcher.Dispatch("STATUS id=0").response;
   EXPECT_NE(status.find("viol=2"), std::string::npos) << status;
   EXPECT_NE(status.find("rollbacks=1"), std::string::npos) << status;
   EXPECT_NE(status.find("on_lkg=1"), std::string::npos) << status;
 
   // An unguarded tenant reports safety=0 and no guardrail telemetry.
-  opened = DispatchLine(
-      server, "OPEN engine=sim workload=sysbench_rw seed=62 safety=0",
-      &shutdown);
+  opened =
+      dispatcher
+          .Dispatch("OPEN engine=sim workload=sysbench_rw seed=62 safety=0")
+          .response;
   ASSERT_EQ(opened.rfind("OK id=1", 0), 0u) << opened;
-  status = DispatchLine(server, "STATUS id=1", &shutdown);
+  status = dispatcher.Dispatch("STATUS id=1").response;
   EXPECT_NE(status.find("safety=0"), std::string::npos) << status;
   EXPECT_EQ(status.find("base_tps="), std::string::npos) << status;
 
-  EXPECT_EQ(DispatchLine(server, "OPEN engine=sim safety=2", &shutdown)
-                .rfind("ERR", 0),
-            0u);
   EXPECT_EQ(
-      DispatchLine(server, "OPEN engine=sim degrade=nosuch_knob degrade_sev=0.5",
-                   &shutdown)
-          .rfind("ERR", 0),
+      dispatcher.Dispatch("OPEN engine=sim safety=2").response.rfind("ERR", 0),
       0u);
-}
-
-TEST(SocketServerTest, ServesClientsAndStopsGracefully) {
-  TuningServer server;
-  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  io::SocketServerOptions options;
-  options.socket_name = "cdbtune-test-" + std::to_string(::getpid());
-  options.worker_threads = 2;
-  io::SocketServer front(&server, options);
-  ASSERT_TRUE(front.Start().ok());
-
-  auto client = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
-  auto roundtrip = [&](const std::string& line) {
-    EXPECT_TRUE(client->SendLine(line).ok());
-    auto reply = client->RecvLine();
-    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
-    return reply.ok() ? *reply : std::string();
-  };
-  EXPECT_EQ(roundtrip("PING"), "OK pong=1");
-  std::string opened = roundtrip("OPEN engine=sim seed=7 steps=1");
-  EXPECT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  EXPECT_EQ(roundtrip("STEP id=0").rfind("OK id=0 step=1", 0), 0u);
-  EXPECT_EQ(roundtrip("CLOSE id=0").rfind("OK id=0", 0), 0u);
-
-  // A second concurrent client is served by another worker.
-  auto second = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(second->SendLine("PING").ok());
-  EXPECT_EQ(second->RecvLine().value(), "OK pong=1");
-
-  EXPECT_EQ(roundtrip("SHUTDOWN"), "OK bye=1");
-  front.WaitForShutdown();
-  server.DrainAndStop();
-  front.Stop();  // Joins every thread; second client's socket is shut down.
-}
-
-// Regression: the daemon parks its main thread in WaitForShutdown() while
-// workers serve connections. With one condition variable shared by both, the
-// acceptor's notify_one could wake the shutdown waiter instead of a worker;
-// the waiter re-slept and the wakeup was consumed, stranding the queued
-// connection and hanging its client forever.
-TEST(SocketServerTest, ServesClientsWhileWaitForShutdownBlocks) {
-  TuningServer server;
-  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  io::SocketServerOptions options;
-  options.socket_name = "cdbtune-test-wfs-" + std::to_string(::getpid());
-  io::SocketServer front(&server, options);
-  ASSERT_TRUE(front.Start().ok());
-  std::thread waiter([&] { front.WaitForShutdown(); });
-
-  for (int i = 0; i < 200; ++i) {
-    auto client = io::Socket::Connect(options.socket_name);
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    // A lost wakeup hangs the reply forever; bound the wait so the lost case
-    // fails instead of wedging the suite.
-    timeval timeout{.tv_sec = 5, .tv_usec = 0};
-    ASSERT_EQ(::setsockopt(client->fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                           sizeof(timeout)),
-              0);
-    ASSERT_TRUE(client->SendLine("PING").ok());
-    auto reply = client->RecvLine();
-    ASSERT_TRUE(reply.ok()) << "connection " << i
-                            << " never served: " << reply.status().ToString();
-    EXPECT_EQ(*reply, "OK pong=1");
-  }
-
-  auto client = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->SendLine("SHUTDOWN").ok());
-  EXPECT_EQ(client->RecvLine().value(), "OK bye=1");
-  waiter.join();
-  server.DrainAndStop();
-  front.Stop();
+  EXPECT_EQ(dispatcher
+                .Dispatch("OPEN engine=sim degrade=nosuch_knob degrade_sev=0.5")
+                .response.rfind("ERR", 0),
+            0u);
 }
 
 TEST(ShardedExperiencePoolTest, SnapshotAfterWraparoundIsDeterministic) {
@@ -742,6 +705,82 @@ TEST(CheckpointTest, CorruptCheckpointLeavesServerUntouched) {
   RemoveGenerations(path);
 }
 
+/// Returns `payload` with the length-prefixed collector-statistics string
+/// that starts at byte `offset` replaced by `blob`.
+std::string WithCollectorBlob(std::string_view payload, size_t offset,
+                              const std::string& blob) {
+  persist::Decoder dec(payload.substr(offset));
+  std::string original;
+  EXPECT_TRUE(dec.ReadString(&original));
+  persist::Encoder enc;
+  enc.AppendRaw(payload.data(), offset);
+  enc.WriteString(blob);
+  const size_t tail = offset + dec.position();
+  enc.AppendRaw(payload.data() + tail, payload.size() - tail);
+  return enc.Release();
+}
+
+// Regression: the collector statistics ride inside two checkpoint chunks as
+// a text blob. A garbage blob behind valid CRCs used to abort the daemon in
+// the standardizer's parser; RESTORE must fail with kDataLoss instead and
+// leave the server serving.
+TEST(CheckpointTest, MalformedCollectorStatisticsFailRestoreWithDataLoss) {
+  const std::string path = CheckpointPath("collector");
+  RemoveGenerations(path);
+  {
+    TuningServer donor;
+    ASSERT_TRUE(donor.AdoptModel(SharedTrainedTuner()).ok());
+    ASSERT_TRUE(donor.Open(TestSpecs(1)[0]).ok());
+    ASSERT_TRUE(donor.SaveCheckpoint(path).ok());
+  }
+  auto original = persist::ChunkFile::Parse(FileBytes(path));
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+
+  // Where the blob sits: server/model_meta leads with it; a session's state
+  // chunk stores the OU exploration noise first.
+  const rl::DdpgOptions& model = SharedTrainedTuner().agent().options();
+  auto state_chunk = original->Get("session/0/state");
+  ASSERT_TRUE(state_chunk.ok());
+  persist::Decoder skip(*state_chunk);
+  rl::OrnsteinUhlenbeckNoise noise(model.action_dim, model.noise_theta,
+                                   model.noise_sigma, util::Rng(1));
+  ASSERT_TRUE(noise.LoadBinary(skip).ok());
+  const std::vector<std::pair<std::string, size_t>> targets = {
+      {"server/model_meta", 0}, {"session/0/state", skip.position()}};
+  // Unparseable outright, and a right-dimension header over a bad body.
+  const std::vector<std::string> blobs = {
+      "garbage", std::to_string(model.state_dim) + "\nnot-a-number\n"};
+
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  Dispatcher dispatcher(&server);
+  for (const auto& [target, offset] : targets) {
+    for (const std::string& blob : blobs) {
+      persist::ChunkWriter writer;
+      for (const std::string& name : original->Names()) {
+        std::string payload(*original->Get(name));
+        if (name == target) payload = WithCollectorBlob(payload, offset, blob);
+        writer.Add(name, std::move(payload));
+      }
+      auto bytes = writer.Finish();
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      ASSERT_TRUE(persist::AtomicWriteFile(path, *bytes).ok());
+
+      const std::string restored =
+          dispatcher.Dispatch("RESTORE path=" + path).response;
+      EXPECT_EQ(restored.rfind("ERR DATA_LOSS", 0), 0u)
+          << target << ": " << restored;
+      EXPECT_EQ(dispatcher.Dispatch("PING").response, "OK pong=1");
+    }
+  }
+  // The failed restores applied nothing: the server still tunes.
+  const std::string opened =
+      dispatcher.Dispatch("OPEN engine=sim seed=5 steps=1").response;
+  ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
+  EXPECT_EQ(dispatcher.Dispatch("STEP id=0").response.rfind("OK", 0), 0u);
+  RemoveGenerations(path);
+}
+
 TEST(CheckpointTest, RestoreRefusesWithOpenSessions) {
   const std::string path = CheckpointPath("busy");
   RemoveGenerations(path);
@@ -796,58 +835,47 @@ TEST(DispatchTest, CheckpointVerbs) {
   RemoveGenerations(path);
   TuningServer server;
   ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
-  bool shutdown = false;
-  EXPECT_EQ(DispatchLine(server, "SAVE", &shutdown).rfind("ERR", 0), 0u);
-  EXPECT_EQ(DispatchLine(server, "RESTORE", &shutdown).rfind("ERR", 0), 0u);
+  Dispatcher dispatcher(&server);
+  EXPECT_EQ(dispatcher.Dispatch("SAVE").response.rfind("ERR", 0), 0u);
+  EXPECT_EQ(dispatcher.Dispatch("RESTORE").response.rfind("ERR", 0), 0u);
   EXPECT_EQ(
-      DispatchLine(server, "REBUILD actor_hidden=12-x", &shutdown).rfind("ERR", 0),
+      dispatcher.Dispatch("REBUILD actor_hidden=12-x").response.rfind("ERR", 0),
       0u);
 
-  std::string opened = DispatchLine(
-      server, "OPEN engine=sim workload=sysbench_rw seed=31 steps=2",
-      &shutdown);
+  std::string opened =
+      dispatcher
+          .Dispatch("OPEN engine=sim workload=sysbench_rw seed=31 steps=2")
+          .response;
   ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
-  ASSERT_EQ(DispatchLine(server, "STEP id=0", &shutdown).rfind("OK", 0), 0u);
-  std::string saved = DispatchLine(server, "SAVE path=" + path, &shutdown);
+  ASSERT_EQ(dispatcher.Dispatch("STEP id=0").response.rfind("OK", 0), 0u);
+  std::string saved = dispatcher.Dispatch("SAVE path=" + path).response;
   EXPECT_EQ(saved.rfind("OK path=", 0), 0u) << saved;
 
-  std::string rebuilt = DispatchLine(
-      server, "REBUILD actor_hidden=24-16 seed=5 train=2", &shutdown);
+  std::string rebuilt =
+      dispatcher.Dispatch("REBUILD actor_hidden=24-16 seed=5 train=2").response;
   EXPECT_EQ(rebuilt.rfind("OK experiences=", 0), 0u) << rebuilt;
   EXPECT_NE(rebuilt.find("params_after="), std::string::npos);
 
   // A fresh server restores the whole world from the file: model plus the
   // mid-flight session, which then finishes over the same protocol.
   TuningServer resumed;
+  Dispatcher resumed_dispatcher(&resumed);
   std::string restored =
-      DispatchLine(resumed, "RESTORE path=" + path, &shutdown);
+      resumed_dispatcher.Dispatch("RESTORE path=" + path).response;
   EXPECT_EQ(restored.rfind("OK path=", 0), 0u) << restored;
   EXPECT_NE(restored.find("sessions=1"), std::string::npos) << restored;
-  std::string status = DispatchLine(resumed, "STATUS id=0", &shutdown);
+  std::string status = resumed_dispatcher.Dispatch("STATUS id=0").response;
   EXPECT_NE(status.find("phase=TUNING"), std::string::npos) << status;
-  EXPECT_EQ(DispatchLine(resumed, "STEP id=0", &shutdown).rfind("OK", 0), 0u);
-  EXPECT_EQ(DispatchLine(resumed, "CLOSE id=0", &shutdown).rfind("OK", 0), 0u);
+  EXPECT_EQ(resumed_dispatcher.Dispatch("STEP id=0").response.rfind("OK", 0),
+            0u);
+  EXPECT_EQ(resumed_dispatcher.Dispatch("CLOSE id=0").response.rfind("OK", 0),
+            0u);
 
   EXPECT_EQ(
-      DispatchLine(resumed, "RESTORE path=/nonexistent/ck", &shutdown)
+      resumed_dispatcher.Dispatch("RESTORE path=/nonexistent/ck").response
           .rfind("ERR", 0),
       0u);
   RemoveGenerations(path);
-}
-
-TEST(SocketServerTest, StopUnblocksIdleConnections) {
-  TuningServer server;
-  io::SocketServerOptions options;
-  options.socket_name = "cdbtune-test-idle-" + std::to_string(::getpid());
-  options.worker_threads = 1;
-  io::SocketServer front(&server, options);
-  ASSERT_TRUE(front.Start().ok());
-  auto client = io::Socket::Connect(options.socket_name);
-  ASSERT_TRUE(client.ok());
-  // The worker sits in RecvLine on this connection; Stop must unblock it
-  // and join without the client ever sending a byte.
-  front.Stop();
-  EXPECT_FALSE(client->RecvLine().ok());
 }
 
 }  // namespace

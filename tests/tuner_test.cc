@@ -1,7 +1,10 @@
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "env/simulated_cdb.h"
+#include "persist/atomic_file.h"
 #include "tuner/cdbtune.h"
 #include "tuner/controller.h"
 #include "tuner/memory_pool.h"
@@ -316,6 +319,35 @@ TEST(CdbTunerTest, SaveLoadModelRoundTrip) {
   db2->Reset();
   auto result = restored.OnlineTune(workload::SysbenchReadWrite());
   EXPECT_GE(result.best.throughput, result.initial.throughput * 0.99);
+}
+
+TEST(CdbTunerTest, LoadModelRejectsMalformedMetaUntouched) {
+  auto db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 15);
+  auto space = knobs::KnobSpace::AllTunable(&db->registry());
+  CdbTuner trained(db.get(), space, FastOptions());
+  trained.OfflineTrain(workload::SysbenchReadWrite());
+  const std::string prefix = ::testing::TempDir() + "/cdbtune_bad_meta";
+  ASSERT_TRUE(trained.SaveModel(prefix).ok());
+
+  auto db2 = env::SimulatedCdb::MysqlCdb(env::CdbA(), 15);
+  CdbTuner victim(db2.get(), space, FastOptions());
+  std::vector<double> state(env::kNumInternalMetrics, 0.2);
+  const std::vector<double> before = victim.agent().SelectAction(state, false);
+  const size_t observations = victim.collector().observations();
+
+  // Valid weights beside a .meta whose collector statistics are garbage:
+  // a Status, not an abort, and neither the agent nor the collector moves.
+  const std::string bad_metas[] = {
+      "garbage\n",
+      std::to_string(env::kNumInternalMetrics) + "\nnot-a-number\n"};
+  for (const std::string& meta : bad_metas) {
+    ASSERT_TRUE(persist::AtomicWriteFile(prefix + ".meta", meta).ok());
+    util::Status loaded = victim.LoadModel(prefix);
+    EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss) << loaded.ToString();
+    EXPECT_EQ(victim.agent().SelectAction(state, false), before);
+    EXPECT_EQ(victim.collector().observations(), observations);
+    EXPECT_TRUE(victim.best_offline_action().empty());
+  }
 }
 
 TEST(CdbTunerTest, LoadModelMissingFileFails) {
