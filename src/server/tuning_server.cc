@@ -1,7 +1,6 @@
 #include "server/tuning_server.h"
 
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "engine/mini_cdb.h"
@@ -151,22 +150,6 @@ tuner::TuningSessionOptions SessionOptionsFor(
   return session_options;
 }
 
-/// The metrics collector keeps its exact text round-trip format (precision
-/// 17); checkpoints embed it as an opaque blob instead of re-deriving a
-/// binary layout for the standardizer.
-std::string CollectorBlob(const tuner::MetricsCollector& collector) {
-  std::ostringstream os;
-  os.precision(17);
-  collector.SaveState(os);
-  return os.str();
-}
-
-util::Status LoadCollectorBlob(const std::string& blob,
-                               tuner::MetricsCollector* collector) {
-  std::istringstream is(blob);
-  return collector->LoadState(is);
-}
-
 }  // namespace
 
 /// The per-tenant world: environment, exploration stream, experience shard.
@@ -272,6 +255,36 @@ util::StatusOr<std::unique_ptr<env::DbInterface>> TuningServer::MakeDb(
                                        "' (want sim|mini)");
 }
 
+util::StatusOr<std::unique_ptr<TuningServer::Session>>
+TuningServer::MakeSession(int id, const SessionSpec& spec, size_t shard,
+                          const rl::DdpgOptions& model,
+                          tuner::MetricsCollector collector,
+                          util::StatusCode mismatch_code) {
+  auto db = MakeDb(spec);
+  CDBTUNE_RETURN_IF_ERROR(db.status());
+  knobs::KnobSpace space = knobs::KnobSpace::AllTunable(&(*db)->registry());
+  if (space.action_dim() != model.action_dim) {
+    return util::Status(
+        mismatch_code,
+        "session " + std::to_string(id) + ": engine knob space (" +
+            std::to_string(space.action_dim()) +
+            ") does not match the model (" +
+            std::to_string(model.action_dim) + ")");
+  }
+  const double theta =
+      options_.noise_theta >= 0.0 ? options_.noise_theta : model.noise_theta;
+  const double sigma =
+      options_.noise_sigma >= 0.0 ? options_.noise_sigma : model.noise_sigma;
+  auto session = std::make_unique<Session>(this, id, spec, shard,
+                                           std::move(*db), std::move(collector),
+                                           model.action_dim, theta, sigma);
+  session->tuning = std::make_unique<tuner::TuningSession>(
+      session->db.get(), std::move(space), session->spec.workload,
+      &session->collector, &session->policy, &session->sink,
+      SessionOptionsFor(options_, spec));
+  return session;
+}
+
 void TuningServer::RefreshStatus(Slot* slot) {
   const Session& session = *slot->session;
   const tuner::OnlineTuneResult& result = session.tuning->result();
@@ -305,9 +318,7 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
   if (spec.max_steps <= 0) {
     return util::Status::InvalidArgument("max_steps must be positive");
   }
-  size_t action_dim;
-  double noise_theta;
-  double noise_sigma;
+  rl::DdpgOptions model;
   tuner::MetricsCollector collector;
   {
     util::MutexLock lock(agent_mu_);
@@ -315,11 +326,7 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
       return util::Status::FailedPrecondition(
           "no model adopted; call AdoptModel first");
     }
-    action_dim = agent_->options().action_dim;
-    noise_theta = options_.noise_theta >= 0.0 ? options_.noise_theta
-                                              : agent_->options().noise_theta;
-    noise_sigma = options_.noise_sigma >= 0.0 ? options_.noise_sigma
-                                              : agent_->options().noise_sigma;
+    model = agent_->options();
     collector = collector_template_;
   }
 
@@ -347,29 +354,13 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
     free_shards_.push_back(shard);
   };
 
-  auto db = MakeDb(spec);
-  if (!db.ok()) {
+  auto made = MakeSession(id, spec, shard, model, std::move(collector),
+                          util::StatusCode::kInvalidArgument);
+  if (!made.ok()) {
     release_shard();
-    return db.status();
+    return made.status();
   }
-  knobs::KnobSpace space = knobs::KnobSpace::AllTunable(&(*db)->registry());
-  if (space.action_dim() != action_dim) {
-    release_shard();
-    return util::Status::InvalidArgument(
-        "engine knob space (" + std::to_string(space.action_dim()) +
-        ") does not match the adopted model (" + std::to_string(action_dim) +
-        ")");
-  }
-
-  auto session = std::make_unique<Session>(this, id, spec, shard,
-                                           std::move(*db), std::move(collector),
-                                           action_dim, noise_theta,
-                                           noise_sigma);
-  session->tuning = std::make_unique<tuner::TuningSession>(
-      session->db.get(), std::move(space), session->spec.workload,
-      &session->collector, &session->policy, &session->sink,
-      SessionOptionsFor(options_, spec));
-
+  std::unique_ptr<Session> session = std::move(*made);
   util::Status begun = session->tuning->Begin();
   if (!begun.ok()) {
     release_shard();
@@ -648,11 +639,8 @@ void TuningServer::AppendCheckpointChunks(persist::ChunkWriter& writer) {
   {
     util::MutexLock lock(agent_mu_);
     CDBTUNE_CHECK(agent_ != nullptr) << "checkpoint needs an adopted model";
-    agent_->AppendChunks(writer);
-    persist::Encoder enc;
-    enc.WriteString(CollectorBlob(collector_template_));
-    enc.WriteDoubleVec(best_offline_action_);
-    writer.Add("server/model_meta", enc.Release());
+    tuner::AppendModelChunks(writer, *agent_, collector_template_,
+                             best_offline_action_);
   }
   {
     // Exclusivity (caller-held) is the pool's barrier: no Add in flight.
@@ -684,7 +672,7 @@ void TuningServer::AppendCheckpointChunks(persist::ChunkWriter& writer) {
     {
       persist::Encoder enc;
       session.noise.SaveBinary(enc);
-      enc.WriteString(CollectorBlob(session.collector));
+      session.collector.SaveBinary(enc);
       session.tuning->SaveBinary(enc);
       writer.Add(base + "state", enc.Release());
     }
@@ -749,19 +737,8 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
         file.Decode("agent/options", [&](persist::Decoder& dec) {
           return rl::LoadDdpgOptionsBinary(dec, &agent_options);
         }));
-    auto staged_agent = std::make_unique<rl::DdpgAgent>(agent_options);
-    CDBTUNE_RETURN_IF_ERROR(staged_agent->RestoreFromChunks(file));
-
-    tuner::MetricsCollector staged_collector;
-    std::vector<double> staged_best_action;
-    CDBTUNE_RETURN_IF_ERROR(
-        file.Decode("server/model_meta", [&](persist::Decoder& dec) {
-          std::string blob;
-          if (!dec.ReadString(&blob)) return dec.status();
-          CDBTUNE_RETURN_IF_ERROR(LoadCollectorBlob(blob, &staged_collector));
-          if (!dec.ReadDoubleVec(&staged_best_action)) return dec.status();
-          return util::Status::Ok();
-        }));
+    auto staged_model = tuner::RestoreModelChunks(file, agent_options);
+    CDBTUNE_RETURN_IF_ERROR(staged_model.status());
 
     tuner::ShardedExperiencePool staged_pool(options_.max_sessions,
                                              options_.shard_capacity);
@@ -794,13 +771,6 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
           return util::Status::Ok();
         }));
 
-    const size_t action_dim = agent_options.action_dim;
-    const double noise_theta = options_.noise_theta >= 0.0
-                                   ? options_.noise_theta
-                                   : agent_options.noise_theta;
-    const double noise_sigma = options_.noise_sigma >= 0.0
-                                   ? options_.noise_sigma
-                                   : agent_options.noise_sigma;
     std::map<int, Slot> staged_sessions;
     std::vector<bool> shard_used(options_.max_sessions, false);
     for (int id : ids) {
@@ -819,29 +789,15 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
       }
       shard_used[shard] = true;
 
-      auto db = MakeDb(spec);
-      CDBTUNE_RETURN_IF_ERROR(db.status());
-      knobs::KnobSpace space =
-          knobs::KnobSpace::AllTunable(&(*db)->registry());
-      if (space.action_dim() != action_dim) {
-        return util::Status::DataLoss(
-            "session " + std::to_string(id) +
-            " knob space does not match the checkpoint's model");
-      }
-      auto session = std::make_unique<Session>(
-          this, id, spec, shard, std::move(*db), tuner::MetricsCollector(),
-          action_dim, noise_theta, noise_sigma);
-      session->tuning = std::make_unique<tuner::TuningSession>(
-          session->db.get(), std::move(space), session->spec.workload,
-          &session->collector, &session->policy, &session->sink,
-          SessionOptionsFor(options_, session->spec));
+      auto made = MakeSession(id, spec, shard, agent_options,
+                              tuner::MetricsCollector(),
+                              util::StatusCode::kDataLoss);
+      CDBTUNE_RETURN_IF_ERROR(made.status());
+      std::unique_ptr<Session> session = std::move(*made);
       CDBTUNE_RETURN_IF_ERROR(
           file.Decode(base + "state", [&](persist::Decoder& dec) {
             CDBTUNE_RETURN_IF_ERROR(session->noise.LoadBinary(dec));
-            std::string blob;
-            if (!dec.ReadString(&blob)) return dec.status();
-            CDBTUNE_RETURN_IF_ERROR(
-                LoadCollectorBlob(blob, &session->collector));
+            CDBTUNE_RETURN_IF_ERROR(session->collector.LoadBinary(dec));
             return session->tuning->RestoreBinary(dec);
           }));
       Slot slot;
@@ -870,9 +826,9 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
     util::MutexLock lock(mu_);
     {
       util::MutexLock agent_lock(agent_mu_);
-      agent_ = std::move(staged_agent);
-      collector_template_ = std::move(staged_collector);
-      best_offline_action_ = std::move(staged_best_action);
+      agent_ = std::move(staged_model->agent);
+      collector_template_ = std::move(staged_model->collector);
+      best_offline_action_ = std::move(staged_model->best_action);
     }
     shards_ = std::move(staged_pool);
     sessions_ = std::move(staged_sessions);

@@ -308,6 +308,15 @@ class TuningServer {
   static util::StatusOr<std::unique_ptr<env::DbInterface>> MakeDb(
       const SessionSpec& spec);
 
+  /// Builds session `id`'s world (instance, exploration noise, tuning
+  /// session) for Open and RestoreCheckpoint alike. Noise θ/σ come from the
+  /// server options when set, else from `model`. An engine knob space that
+  /// does not match `model.action_dim` fails with `mismatch_code`.
+  util::StatusOr<std::unique_ptr<Session>> MakeSession(
+      int id, const SessionSpec& spec, size_t shard,
+      const rl::DdpgOptions& model, tuner::MetricsCollector collector,
+      util::StatusCode mismatch_code);
+
   /// Refreshes `slot`'s status snapshot from its TuningSession. The slot's
   /// session must not be mid-step on another thread.
   void RefreshStatus(Slot* slot) CDBTUNE_REQUIRES(mu_);

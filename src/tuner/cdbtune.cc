@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-// lint: allow(raw-checkpoint-write) — std::ifstream only: loads go
-// through ReadFile/ifstream; every write goes through persist.
-#include <fstream>
-#include <sstream>
 
 #include "persist/atomic_file.h"
 #include "safety/apply.h"
@@ -62,6 +58,36 @@ class FineTuneSink final : public ExperienceSink {
 
 }  // namespace
 
+void AppendModelChunks(persist::ChunkWriter& writer, const rl::DdpgAgent& agent,
+                       const MetricsCollector& collector,
+                       const std::vector<double>& best_action) {
+  agent.AppendChunks(writer);
+  persist::Encoder enc;
+  collector.SaveBinary(enc);
+  enc.WriteDoubleVec(best_action);
+  writer.Add("server/model_meta", enc.Release());
+}
+
+util::StatusOr<StandardModel> RestoreModelChunks(
+    const persist::ChunkFile& file, const rl::DdpgOptions& options) {
+  StandardModel model;
+  model.agent = std::make_unique<rl::DdpgAgent>(options);
+  CDBTUNE_RETURN_IF_ERROR(model.agent->RestoreFromChunks(file));
+  CDBTUNE_RETURN_IF_ERROR(
+      file.Decode("server/model_meta", [&](persist::Decoder& dec) {
+        CDBTUNE_RETURN_IF_ERROR(model.collector.LoadBinary(dec));
+        if (!dec.ReadDoubleVec(&model.best_action)) return dec.status();
+        if (!model.best_action.empty() &&
+            model.best_action.size() != options.action_dim) {
+          return util::Status::DataLoss(
+              "best action has " + std::to_string(model.best_action.size()) +
+              " dims, model wants " + std::to_string(options.action_dim));
+        }
+        return util::Status::Ok();
+      }));
+  return model;
+}
+
 CdbTuner::CdbTuner(env::DbInterface* db, knobs::KnobSpace space,
                    CdbTuneOptions options)
     : db_(db),
@@ -89,37 +115,23 @@ double CdbTuner::Score(const PerfPoint& initial, const PerfPoint& point) const {
 }
 
 util::Status CdbTuner::SaveModel(const std::string& prefix) const {
-  CDBTUNE_RETURN_IF_ERROR(agent_->Save(prefix));
-  std::ostringstream os;
-  os.precision(17);
-  collector_.SaveState(os);
-  os << best_action_score_ << "\n" << best_offline_action_.size() << "\n";
-  for (double a : best_offline_action_) os << a << " ";
-  os << "\n";
-  return persist::AtomicWriteFile(prefix + ".meta", os.str());
+  persist::ChunkWriter writer;
+  AppendModelChunks(writer, *agent_, collector_, best_offline_action_);
+  auto bytes = writer.Finish();
+  CDBTUNE_RETURN_IF_ERROR(bytes.status());
+  return persist::AtomicWriteFile(prefix + ".model", *bytes);
 }
 
 util::Status CdbTuner::LoadModel(const std::string& prefix) {
-  // Parse the whole .meta before touching anything, so a malformed file
-  // leaves the tuner exactly as it was.
-  std::ifstream is(prefix + ".meta");
-  if (!is.good()) return util::Status::NotFound("cannot open " + prefix + ".meta");
-  MetricsCollector collector;
-  CDBTUNE_RETURN_IF_ERROR(collector.LoadState(is));
-  double score = 0.0;
-  size_t n = 0;
-  is >> score >> n;
-  if (is.fail() || n > space_.action_dim() * 4) {
-    return util::Status::DataLoss("malformed model meta file");
-  }
-  std::vector<double> action(n, 0.0);
-  for (double& a : action) is >> a;
-  if (is.fail()) return util::Status::DataLoss("malformed model meta file");
-
-  CDBTUNE_RETURN_IF_ERROR(agent_->Load(prefix));
-  collector_ = std::move(collector);
-  best_action_score_ = score;
-  best_offline_action_ = std::move(action);
+  auto bytes = persist::ReadFile(prefix + ".model");
+  CDBTUNE_RETURN_IF_ERROR(bytes.status());
+  auto file = persist::ChunkFile::Parse(*std::move(bytes));
+  CDBTUNE_RETURN_IF_ERROR(file.status());
+  auto model = RestoreModelChunks(*file, options_.ddpg);
+  CDBTUNE_RETURN_IF_ERROR(model.status());
+  agent_ = std::move(model->agent);
+  collector_ = std::move(model->collector);
+  best_offline_action_ = std::move(model->best_action);
   return util::Status::Ok();
 }
 

@@ -7,6 +7,7 @@
 
 #include "env/db_interface.h"
 #include "knobs/registry.h"
+#include "persist/chunk.h"
 #include "rl/ddpg.h"
 #include "tuner/memory_pool.h"
 #include "tuner/metrics_collector.h"
@@ -101,6 +102,30 @@ struct OfflineTrainResult {
   std::vector<StepRecord> history;
 };
 
+/// The standard model of the train-once / tune-many deployment (Sections
+/// 2.1.1-2.1.2): the DDPG agent, the collector's input-normalization
+/// statistics, and the best action found offline.
+struct StandardModel {
+  std::unique_ptr<rl::DdpgAgent> agent;
+  MetricsCollector collector;
+  std::vector<double> best_action;
+};
+
+/// Writes a model as checkpoint chunks: the agent's `agent/*` chunks, then
+/// `server/model_meta` (collector statistics, best action). This is the one
+/// model record: SaveModel files and server checkpoints both hold it, under
+/// the chunk names v1 server checkpoints already use.
+void AppendModelChunks(persist::ChunkWriter& writer, const rl::DdpgAgent& agent,
+                       const MetricsCollector& collector,
+                       const std::vector<double>& best_action);
+
+/// Reads a model written by AppendModelChunks into a fresh agent built from
+/// `options`, restored once (an architecture mismatch is kDataLoss). The
+/// best action must be empty or exactly `options.action_dim` long. The
+/// result is staged: a failure leaves every caller-owned object untouched.
+util::StatusOr<StandardModel> RestoreModelChunks(const persist::ChunkFile& file,
+                                                 const rl::DdpgOptions& options);
+
 /// The CDBTune system: DDPG agent + reward function + metrics collector +
 /// recommender + memory pool wired into the offline-training /
 /// online-tuning lifecycle of Section 2.1.
@@ -150,15 +175,17 @@ class CdbTuner {
     return best_offline_action_;
   }
 
-  /// Persists the trained standard model — actor/critic weights, input
+  /// Persists the trained standard model — the complete agent, input
   /// normalization statistics, and the best-experience action — so a model
   /// trained in one process can serve tuning requests in another (the
-  /// paper's train-once / tune-many deployment). Writes `prefix`.actor,
-  /// `prefix`.critic and `prefix`.meta.
+  /// paper's train-once / tune-many deployment). Writes one CRC chunk file,
+  /// `prefix`.model, atomically.
   util::Status SaveModel(const std::string& prefix) const;
 
   /// Restores a model saved with SaveModel. The tuner must have been
-  /// constructed with the same knob space and network options.
+  /// constructed with the same knob space and network options; on any
+  /// failure (missing file: kNotFound, corrupt or mismatched: kDataLoss)
+  /// the tuner is left untouched.
   util::Status LoadModel(const std::string& prefix);
 
   /// Warm-starts the agent's replay memory from an accumulated experience

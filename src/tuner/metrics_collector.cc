@@ -1,5 +1,8 @@
 #include "tuner/metrics_collector.h"
 
+#include <sstream>
+#include <string>
+
 #include "util/check.h"
 
 namespace cdbtune::tuner {
@@ -40,6 +43,19 @@ PerfPoint MetricsCollector::ToPerfPoint(const env::ExternalMetrics& external) {
   p.throughput = external.throughput_tps;
   p.latency = external.latency_p99_ms;
   return p;
+}
+
+void MetricsCollector::SaveBinary(persist::Encoder& enc) const {
+  std::ostringstream os;
+  standardizer_.SaveState(os);
+  enc.WriteString(os.str());
+}
+
+util::Status MetricsCollector::LoadBinary(persist::Decoder& dec) {
+  std::string text;
+  if (!dec.ReadString(&text)) return dec.status();
+  std::istringstream is(text);
+  return standardizer_.LoadState(is);
 }
 
 }  // namespace cdbtune::tuner

@@ -1,10 +1,10 @@
 #ifndef CDBTUNE_TUNER_METRICS_COLLECTOR_H_
 #define CDBTUNE_TUNER_METRICS_COLLECTOR_H_
 
-#include <iosfwd>
 #include <vector>
 
 #include "env/metrics.h"
+#include "persist/encoding.h"
 #include "tuner/reward.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -41,12 +41,12 @@ class MetricsCollector {
   size_t observations() const { return standardizer_.count(); }
 
   /// Persists / restores the normalization statistics (part of a trained
-  /// model's state: the network expects inputs scaled the way it saw them).
-  /// A malformed input returns kDataLoss and changes nothing.
-  void SaveState(std::ostream& os) const { standardizer_.SaveState(os); }
-  util::Status LoadState(std::istream& is) {
-    return standardizer_.LoadState(is);
-  }
+  /// model's state: the network expects inputs scaled the way it saw them)
+  /// as one string holding the standardizer's precision-17 text — the
+  /// layout v1 checkpoints store. A malformed input returns kDataLoss and
+  /// changes nothing.
+  void SaveBinary(persist::Encoder& enc) const;
+  util::Status LoadBinary(persist::Decoder& dec);
 
  private:
   util::VectorStandardizer standardizer_;

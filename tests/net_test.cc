@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -351,6 +352,17 @@ TEST(TcpServerTest, StopClosesIdleConnections) {
   ASSERT_NE(silent, nullptr);
   BoundReads(*served);
   BoundReads(*silent);
+  // connect() returns once the kernel queues the silent client, which can
+  // be before the reactor accepts it; a Stop in that window closes the
+  // listener on it and the peer reads a reset, not end-of-stream. Wait
+  // until both are attached.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fixture.front->Scrape().connections < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(fixture.front->Scrape().connections, 2u);
 
   fixture.front->Stop();
   for (FrameClient* client : {served.get(), silent.get()}) {
@@ -530,6 +542,17 @@ TEST(TcpServerTest, KilledClientMidEpisodeDoesNotDisturbOtherSessions) {
   auto status = survivor->Call("STATUS id=0");
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->rfind("OK id=0", 0), 0u) << *status;
+  // The killed client's STEP may still be running on a worker, and a busy
+  // session refuses CLOSE by design: wait until STATUS shows it idle.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (status->find(" busy=0") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    status = survivor->Call("STATUS id=0");
+    ASSERT_TRUE(status.ok()) << status.status().ToString();
+  }
+  ASSERT_NE(status->find(" busy=0"), std::string::npos) << *status;
   auto closed = survivor->Call("CLOSE id=0");
   ASSERT_TRUE(closed.ok());
   EXPECT_EQ(closed->rfind("OK id=0", 0), 0u) << *closed;

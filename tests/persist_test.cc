@@ -1,6 +1,7 @@
 // Tests for the crash-safe checkpoint subsystem (src/persist, DESIGN.md §9):
 // the byte codec, CRC-guarded chunk container, torn-write detection at every
-// byte offset, generation fallback, and full-agent resume equivalence.
+// byte offset, generation fallback, full-agent resume equivalence, and the
+// standard model file.
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -8,11 +9,13 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "env/simulated_cdb.h"
 #include "persist/atomic_file.h"
 #include "persist/chunk.h"
 #include "persist/crc32.h"
 #include "persist/encoding.h"
 #include "rl/ddpg.h"
+#include "tuner/cdbtune.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -428,20 +431,19 @@ void Drive(rl::DdpgAgent& agent, util::Rng& env_rng, int steps) {
 /// configuration under which determinism must hold.
 void ExpectResumeEquivalence(size_t threads) {
   util::ComputeContext::Get().SetThreads(threads);
-  const std::string path = TempPath("agent_" + std::to_string(threads));
   const int k = 90;  // Past the 64-slot replay capacity: ring has wrapped.
   const int extra = 40;
 
   rl::DdpgAgent live(SmallDdpg());
   util::Rng env_rng(4321);
   Drive(live, env_rng, k);
-  ASSERT_TRUE(live.Save(path).ok());
+  const ChunkFile checkpoint = MustParse(SerializeAgent(live));
   const std::string env_state = env_rng.SerializeState();
   Drive(live, env_rng, extra);
   const std::string uninterrupted = SerializeAgent(live);
 
   rl::DdpgAgent resumed(SmallDdpg());
-  ASSERT_TRUE(resumed.Load(path).ok());
+  ASSERT_TRUE(resumed.RestoreFromChunks(checkpoint).ok());
   util::Rng env_rng2(0);
   ASSERT_TRUE(env_rng2.RestoreState(env_state));
   Drive(resumed, env_rng2, extra);
@@ -449,7 +451,6 @@ void ExpectResumeEquivalence(size_t threads) {
 
   EXPECT_EQ(uninterrupted, after_restore)
       << "restored agent diverged from the uninterrupted one";
-  std::remove((path + ".agent").c_str());
   util::ComputeContext::Get().SetThreads(0);
 }
 
@@ -461,70 +462,125 @@ TEST(AgentCheckpointTest, ResumeBitwiseEquivalentFourThreads) {
   ExpectResumeEquivalence(4);
 }
 
-TEST(AgentCheckpointTest, SaveCapturesTargetsOptimizerNoiseAndReplay) {
-  // The old Save/Load dropped target nets, optimizer moments, replay and
-  // noise; a round-trip through the chunk format must preserve every chunk
-  // bitwise, so Save -> Load -> Save is a fixed point.
-  const std::string path = TempPath("fidelity");
+TEST(AgentCheckpointTest, ChunksCaptureTargetsOptimizerNoiseAndReplay) {
+  // Every chunk must round-trip bitwise, so append -> restore -> append is
+  // a fixed point: target nets, optimizer moments, replay and noise too.
   rl::DdpgAgent agent(SmallDdpg());
   util::Rng env_rng(5);
   Drive(agent, env_rng, 30);
-  ASSERT_TRUE(agent.Save(path).ok());
   const std::string first = SerializeAgent(agent);
 
   rl::DdpgAgent loaded(SmallDdpg());
-  ASSERT_TRUE(loaded.Load(path).ok());
+  ASSERT_TRUE(loaded.RestoreFromChunks(MustParse(first)).ok());
   EXPECT_EQ(SerializeAgent(loaded), first);
   EXPECT_EQ(loaded.replay_size(), agent.replay_size());
-  std::remove((path + ".agent").c_str());
 }
 
-TEST(AgentCheckpointTest, CorruptCheckpointLeavesAgentUntouched) {
-  const std::string path = TempPath("corrupt");
+// A shared model checkpoint must be loadable into agents constructed with any
+// seed: `seed` only names the initial rng/noise streams, and the restore
+// adopts the live stream state from the checkpoint. Afterwards the adopter is
+// bitwise identical to the saver — including the options chunk — and stays
+// identical under further training.
+TEST(AgentCheckpointTest, RestoreAcceptsDifferentConstructionSeed) {
   rl::DdpgAgent agent(SmallDdpg());
-  util::Rng env_rng(6);
+  util::Rng env_rng(5);
   Drive(agent, env_rng, 20);
-  ASSERT_TRUE(agent.Save(path).ok());
 
-  auto bytes = ReadFile(path + ".agent");
+  rl::DdpgOptions other = SmallDdpg();
+  other.seed = 9001;
+  rl::DdpgAgent adopter(other);
+  ASSERT_TRUE(adopter.RestoreFromChunks(MustParse(SerializeAgent(agent))).ok());
+  EXPECT_EQ(SerializeAgent(adopter), SerializeAgent(agent));
+
+  util::Rng rng_a(6), rng_b(6);
+  Drive(agent, rng_a, 15);
+  Drive(adopter, rng_b, 15);
+  EXPECT_EQ(SerializeAgent(adopter), SerializeAgent(agent));
+}
+
+// --- Model files (CdbTuner::SaveModel / LoadModel) ----------------------------
+
+tuner::CdbTuneOptions SmallTunerOptions(uint64_t seed) {
+  tuner::CdbTuneOptions o;
+  o.ddpg.actor_hidden = {16, 16};
+  o.ddpg.critic_embed = 16;
+  o.ddpg.critic_hidden = {16};
+  o.ddpg.batch_size = 8;
+  o.ddpg.replay_capacity = 64;
+  o.max_offline_steps = 20;
+  o.steps_per_episode = 10;
+  o.seed = seed;
+  return o;
+}
+
+/// A tuner trained for a few steps on its own simulated instance, so its
+/// agent, collector statistics and best action are all non-trivial.
+struct TrainedTuner {
+  TrainedTuner(uint64_t seed, const tuner::CdbTuneOptions& options)
+      : db(env::SimulatedCdb::MysqlCdb(env::CdbA(), seed)),
+        tuner(db.get(), knobs::KnobSpace::AllTunable(&db->registry()),
+              options) {
+    tuner.OfflineTrain(workload::SysbenchReadWrite());
+  }
+
+  std::unique_ptr<env::SimulatedCdb> db;
+  tuner::CdbTuner tuner;
+};
+
+/// The tuner's whole model record; equal bytes mean a bitwise-equal agent,
+/// collector and best action.
+std::string SerializeModel(tuner::CdbTuner& t) {
+  ChunkWriter writer;
+  tuner::AppendModelChunks(writer, t.agent(), t.collector(),
+                           t.best_offline_action());
+  auto bytes = writer.Finish();
+  EXPECT_TRUE(bytes.ok());
+  return *bytes;
+}
+
+TEST(ModelFileTest, CorruptByteLeavesTunerUntouched) {
+  const std::string path = TempPath("model_corrupt");
+  TrainedTuner saver(6, SmallTunerOptions(6));
+  ASSERT_TRUE(saver.tuner.SaveModel(path).ok());
+
+  auto bytes = ReadFile(path + ".model");
   ASSERT_TRUE(bytes.ok());
   std::string corrupt = *bytes;
   corrupt[corrupt.size() / 2] ^= 0x10;
-  ASSERT_TRUE(AtomicWriteFile(path + ".agent", corrupt).ok());
+  ASSERT_TRUE(AtomicWriteFile(path + ".model", corrupt).ok());
 
-  rl::DdpgAgent victim(SmallDdpg());
-  Drive(victim, env_rng, 5);
-  const std::string before = SerializeAgent(victim);
-  util::Status loaded = victim.Load(path);
+  TrainedTuner victim(16, SmallTunerOptions(16));
+  const std::string before = SerializeModel(victim.tuner);
+  util::Status loaded = victim.tuner.LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss);
   // No partially-applied state: the failed load changed nothing.
-  EXPECT_EQ(SerializeAgent(victim), before);
-  std::remove((path + ".agent").c_str());
+  EXPECT_EQ(SerializeModel(victim.tuner), before);
+  std::remove((path + ".model").c_str());
 }
 
-TEST(AgentCheckpointTest, OptionsMismatchIsRejectedBeforeAnyMutation) {
-  const std::string path = TempPath("mismatch");
-  rl::DdpgAgent agent(SmallDdpg());
-  ASSERT_TRUE(agent.Save(path).ok());
+TEST(ModelFileTest, OptionsMismatchLeavesTunerUntouched) {
+  const std::string path = TempPath("model_mismatch");
+  TrainedTuner saver(7, SmallTunerOptions(7));
+  ASSERT_TRUE(saver.tuner.SaveModel(path).ok());
 
-  rl::DdpgOptions other = SmallDdpg();
-  other.actor_hidden = {8, 8};
-  rl::DdpgAgent different(other);
-  const std::string before = SerializeAgent(different);
-  util::Status loaded = different.Load(path);
+  tuner::CdbTuneOptions other = SmallTunerOptions(17);
+  other.ddpg.actor_hidden = {8, 8};
+  TrainedTuner victim(17, other);
+  const std::string before = SerializeModel(victim.tuner);
+  util::Status loaded = victim.tuner.LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss);
   EXPECT_NE(loaded.message().find("actor_hidden"), std::string::npos);
-  EXPECT_EQ(SerializeAgent(different), before);
-  std::remove((path + ".agent").c_str());
+  EXPECT_EQ(SerializeModel(victim.tuner), before);
+  std::remove((path + ".model").c_str());
 }
 
 /// Rebuilds the container with chunk `name`'s payload swapped for `payload`.
 /// ChunkWriter recomputes every frame CRC, so the result passes Parse: the
-/// corruption is *semantic*, inside one chunk, and each decode path in
-/// RestoreFromChunks has to reject it on its own — the container CRC can't
-/// save it.
+/// corruption is *semantic*, inside one chunk, and each decode path of the
+/// model reader has to reject it on its own — the container CRC can't save
+/// it.
 std::string RebuildWithPayload(const ChunkFile& file, const std::string& name,
                                const std::string& payload) {
   ChunkWriter writer;
@@ -538,20 +594,22 @@ std::string RebuildWithPayload(const ChunkFile& file, const std::string& name,
   return *bytes;
 }
 
-// Fuzz-style sweep: every chunk of a real checkpoint, truncated at several
-// lengths and replaced with fixed-seed garbage. Every mutant must surface as
-// a Status (no crash), and at the Load level must leave the target agent
-// bitwise untouched.
-TEST(AgentCheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
-  const std::string path = TempPath("fuzz");
-  rl::DdpgAgent agent(SmallDdpg());
-  util::Rng env_rng(7);
-  Drive(agent, env_rng, 12);
-  ChunkFile file = MustParse(SerializeAgent(agent));
+// Fuzz-style sweep: every chunk of a real model file (the agent's chunks and
+// server/model_meta), truncated at several lengths and replaced with
+// fixed-seed garbage. Every mutant must surface as a Status (no crash), and
+// LoadModel must leave the target tuner bitwise untouched.
+TEST(ModelFileTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
+  const std::string path = TempPath("model_fuzz");
+  TrainedTuner saver(8, SmallTunerOptions(8));
+  ASSERT_TRUE(saver.tuner.SaveModel(path).ok());
+  auto saved = ReadFile(path + ".model");
+  ASSERT_TRUE(saved.ok());
+  ChunkFile file = MustParse(*saved);
+  ASSERT_TRUE(file.Has("server/model_meta"));
 
-  rl::DdpgAgent victim(SmallDdpg());
-  Drive(victim, env_rng, 3);
-  const std::string before = SerializeAgent(victim);
+  TrainedTuner victim(18, SmallTunerOptions(18));
+  const std::string before = SerializeModel(victim.tuner);
+  const rl::DdpgOptions& options = victim.tuner.options().ddpg;
 
   util::Rng garbage_rng(99);
   for (const std::string& name : file.Names()) {
@@ -572,51 +630,24 @@ TEST(AgentCheckpointTest, TruncatedOrGarbageChunkPayloadsFailCleanly) {
 
     for (size_t m = 0; m < mutants.size(); ++m) {
       const std::string container = RebuildWithPayload(file, name, mutants[m]);
-      ChunkFile mutated = MustParse(container);
 
-      // RestoreFromChunks itself: a Status comes back, nothing throws.
-      rl::DdpgAgent scratch(SmallDdpg());
-      util::Status direct = scratch.RestoreFromChunks(mutated);
+      // The reader itself: a Status comes back, nothing throws.
+      auto direct = tuner::RestoreModelChunks(MustParse(container), options);
       EXPECT_FALSE(direct.ok())
           << "chunk " << name << " mutant " << m
           << " (payload " << mutants[m].size() << "B of " << payload.size()
           << "B) restored successfully";
 
-      // Load: validate-then-apply means the victim stays bitwise intact.
-      ASSERT_TRUE(AtomicWriteFile(path + ".agent", container).ok());
-      util::Status loaded = victim.Load(path);
+      // LoadModel: staged restore means the victim stays bitwise intact.
+      ASSERT_TRUE(AtomicWriteFile(path + ".model", container).ok());
+      util::Status loaded = victim.tuner.LoadModel(path);
       EXPECT_FALSE(loaded.ok());
-      EXPECT_EQ(SerializeAgent(victim), before)
+      EXPECT_EQ(SerializeModel(victim.tuner), before)
           << "chunk " << name << " mutant " << m
-          << " partially applied through Load";
+          << " partially applied through LoadModel";
     }
   }
-  std::remove((path + ".agent").c_str());
-}
-
-// A shared model checkpoint must be loadable into agents constructed with any
-// seed: `seed` only names the initial rng/noise streams, and Load restores the
-// live stream state from the checkpoint. After Load the adopter is bitwise
-// identical to the saver — including the options chunk — and stays identical
-// under further training.
-TEST(AgentCheckpointTest, LoadAcceptsDifferentConstructionSeed) {
-  const std::string path = TempPath("seed_adopt");
-  rl::DdpgAgent agent(SmallDdpg());
-  util::Rng env_rng(5);
-  Drive(agent, env_rng, 20);
-  ASSERT_TRUE(agent.Save(path).ok());
-
-  rl::DdpgOptions other = SmallDdpg();
-  other.seed = 9001;
-  rl::DdpgAgent adopter(other);
-  ASSERT_TRUE(adopter.Load(path).ok());
-  EXPECT_EQ(SerializeAgent(adopter), SerializeAgent(agent));
-
-  util::Rng rng_a(6), rng_b(6);
-  Drive(agent, rng_a, 15);
-  Drive(adopter, rng_b, 15);
-  EXPECT_EQ(SerializeAgent(adopter), SerializeAgent(agent));
-  std::remove((path + ".agent").c_str());
+  std::remove((path + ".model").c_str());
 }
 
 }  // namespace

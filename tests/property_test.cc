@@ -221,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(Patterns, MiniEngineRandomOpsTest,
 class DdpgShapeTest
     : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
 
-TEST_P(DdpgShapeTest, SaveLoadPreservesPolicyForAnyShape) {
+TEST_P(DdpgShapeTest, ChunkRoundTripPreservesPolicyForAnyShape) {
   auto [state_dim, action_dim] = GetParam();
   rl::DdpgOptions o;
   o.state_dim = state_dim;
@@ -244,12 +244,14 @@ TEST_P(DdpgShapeTest, SaveLoadPreservesPolicyForAnyShape) {
   }
   for (int i = 0; i < 3; ++i) agent.TrainStep();
 
-  std::string prefix = ::testing::TempDir() + "/ddpg_shape_" +
-                       std::to_string(state_dim) + "_" +
-                       std::to_string(action_dim);
-  ASSERT_TRUE(agent.Save(prefix).ok());
+  persist::ChunkWriter writer;
+  agent.AppendChunks(writer);
+  auto bytes = writer.Finish();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto file = persist::ChunkFile::Parse(*std::move(bytes));
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
   rl::DdpgAgent restored(o);
-  ASSERT_TRUE(restored.Load(prefix).ok());
+  ASSERT_TRUE(restored.RestoreFromChunks(*file).ok());
   std::vector<double> probe(state_dim, 0.3);
   EXPECT_EQ(agent.SelectAction(probe, false),
             restored.SelectAction(probe, false));

@@ -1,5 +1,4 @@
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -235,14 +234,14 @@ TEST(GuardedSessionTest, GuardrailStateSurvivesCheckpointBitwise) {
 
   persist::Encoder mid;
   a.session->SaveBinary(mid);
-  std::ostringstream collector_state;
-  a.collector->SaveState(collector_state);
+  persist::Encoder collector_state;
+  a.collector->SaveBinary(collector_state);
 
   // Restore into a fresh world: same seed, same degrade, same options.
   GuardedRun b = MakeGuardedRun(413, options);
   {
-    std::istringstream in(collector_state.str());
-    ASSERT_TRUE(b.collector->LoadState(in).ok());
+    persist::Decoder in(collector_state.bytes());
+    ASSERT_TRUE(b.collector->LoadBinary(in).ok());
   }
   persist::Decoder dec(mid.bytes());
   ASSERT_TRUE(b.session->RestoreBinary(dec).ok());

@@ -781,6 +781,63 @@ TEST(CheckpointTest, MalformedCollectorStatisticsFailRestoreWithDataLoss) {
   RemoveGenerations(path);
 }
 
+// Regression: a best offline action one knob short, behind valid CRCs, used
+// to restore fine and then abort the daemon at the session's best-known
+// step. The shared model reader accepts only an empty action or exactly
+// action_dim, so RESTORE answers kDataLoss and the server keeps serving.
+TEST(CheckpointTest, WrongLengthBestActionFailsRestoreWithDataLoss) {
+  const std::string path = CheckpointPath("best_action");
+  RemoveGenerations(path);
+  {
+    TuningServer donor;
+    ASSERT_TRUE(donor.AdoptModel(SharedTrainedTuner()).ok());
+    ASSERT_TRUE(donor.SaveCheckpoint(path).ok());
+  }
+  auto original = persist::ChunkFile::Parse(FileBytes(path));
+  ASSERT_TRUE(original.ok()) << original.status().ToString();
+  std::string collector;
+  std::vector<double> best_action;
+  ASSERT_TRUE(original->Decode("server/model_meta", [&](persist::Decoder& dec) {
+    if (!dec.ReadString(&collector) || !dec.ReadDoubleVec(&best_action)) {
+      return dec.status();
+    }
+    return util::Status::Ok();
+  }).ok());
+  ASSERT_EQ(best_action.size(),
+            SharedTrainedTuner().agent().options().action_dim);
+  best_action.pop_back();
+
+  persist::ChunkWriter writer;
+  for (const std::string& name : original->Names()) {
+    std::string payload(*original->Get(name));
+    if (name == "server/model_meta") {
+      persist::Encoder enc;
+      enc.WriteString(collector);
+      enc.WriteDoubleVec(best_action);
+      payload = enc.Release();
+    }
+    writer.Add(name, std::move(payload));
+  }
+  auto bytes = writer.Finish();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_TRUE(persist::AtomicWriteFile(path, *bytes).ok());
+
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  Dispatcher dispatcher(&server);
+  const std::string restored =
+      dispatcher.Dispatch("RESTORE path=" + path).response;
+  EXPECT_EQ(restored.rfind("ERR DATA_LOSS", 0), 0u) << restored;
+  EXPECT_EQ(dispatcher.Dispatch("PING").response, "OK pong=1");
+  // Step 2 spends the best-known action: the step that used to abort.
+  const std::string opened =
+      dispatcher.Dispatch("OPEN engine=sim seed=5 steps=3").response;
+  ASSERT_EQ(opened.rfind("OK id=0", 0), 0u) << opened;
+  EXPECT_EQ(dispatcher.Dispatch("STEP id=0").response.rfind("OK", 0), 0u);
+  EXPECT_EQ(dispatcher.Dispatch("STEP id=0").response.rfind("OK", 0), 0u);
+  RemoveGenerations(path);
+}
+
 TEST(CheckpointTest, RestoreRefusesWithOpenSessions) {
   const std::string path = CheckpointPath("busy");
   RemoveGenerations(path);

@@ -1,10 +1,13 @@
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "env/simulated_cdb.h"
 #include "persist/atomic_file.h"
+#include "persist/chunk.h"
 #include "tuner/cdbtune.h"
 #include "tuner/controller.h"
 #include "tuner/memory_pool.h"
@@ -140,6 +143,39 @@ TEST(CollectorTest, ProcessStandardizesOverTime) {
   EXPECT_EQ(collector.observations(), 200u);
 }
 
+// The statistics' bytes are part of v1 checkpoints (server/model_meta,
+// session/*/state) and of model files: one length-prefixed string holding
+// the standardizer's precision-17 text. Pin them exactly.
+TEST(CollectorTest, BinaryEncodingIsThePrecision17Text) {
+  MetricsCollector collector;
+  env::StressResult result;
+  result.duration_s = 1.0;
+  result.before.fill(0.0);
+  for (double v : {0.1, 0.7, 0.3}) {
+    result.after.fill(v);
+    collector.Process(result);
+  }
+  std::string text = std::to_string(env::kNumInternalMetrics) + "\n";
+  for (size_t m = 0; m < env::kNumInternalMetrics; ++m) {
+    text +=
+        "3 0.3666666666666667 0.18666666666666665 0.10000000000000001 "
+        "0.69999999999999996\n";
+  }
+  persist::Encoder want;
+  want.WriteString(text);
+  persist::Encoder got;
+  collector.SaveBinary(got);
+  EXPECT_EQ(got.bytes(), want.bytes());
+
+  MetricsCollector restored;
+  persist::Decoder dec(got.bytes());
+  ASSERT_TRUE(restored.LoadBinary(dec).ok());
+  EXPECT_TRUE(dec.Done());
+  persist::Encoder again;
+  restored.SaveBinary(again);
+  EXPECT_EQ(again.bytes(), want.bytes());
+}
+
 TEST(CollectorTest, ToPerfPointUsesP99) {
   env::ExternalMetrics ext;
   ext.throughput_tps = 1234.0;
@@ -213,6 +249,47 @@ CdbTuneOptions FastOptions() {
   o.online_max_steps = 5;
   o.seed = 5;
   return o;
+}
+
+/// FastOptions with narrow networks, for tests that only need a model's
+/// bytes to be non-trivial.
+CdbTuneOptions SmallModelOptions() {
+  CdbTuneOptions o = FastOptions();
+  o.ddpg.actor_hidden = {16, 16};
+  o.ddpg.critic_embed = 16;
+  o.ddpg.critic_hidden = {16};
+  o.ddpg.batch_size = 8;
+  return o;
+}
+
+/// The tuner's whole model record (agent, collector statistics, best
+/// action); equal bytes mean bitwise-equal models.
+std::string ModelBytes(CdbTuner& tuner) {
+  persist::ChunkWriter writer;
+  AppendModelChunks(writer, tuner.agent(), tuner.collector(),
+                    tuner.best_offline_action());
+  auto bytes = writer.Finish();
+  EXPECT_TRUE(bytes.ok());
+  return *bytes;
+}
+
+/// Replaces the server/model_meta chunk of `prefix`.model with `payload`.
+/// Every CRC is recomputed, so only the model reader's own checks stand
+/// between the payload and the tuner.
+void RewriteModelMeta(const std::string& prefix, const std::string& payload) {
+  auto bytes = persist::ReadFile(prefix + ".model");
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto file = persist::ChunkFile::Parse(*std::move(bytes));
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  persist::ChunkWriter writer;
+  for (const std::string& name : file->Names()) {
+    writer.Add(name, name == "server/model_meta"
+                         ? payload
+                         : std::string(*file->Get(name)));
+  }
+  auto rebuilt = writer.Finish();
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  ASSERT_TRUE(persist::AtomicWriteFile(prefix + ".model", *rebuilt).ok());
 }
 
 TEST(CdbTunerTest, OfflineTrainingProducesHistory) {
@@ -304,57 +381,99 @@ TEST(CdbTunerTest, SaveLoadModelRoundTrip) {
   auto space = knobs::KnobSpace::AllTunable(&db->registry());
   CdbTuner trained(db.get(), space, FastOptions());
   trained.OfflineTrain(workload::SysbenchReadWrite());
-  std::string prefix = ::testing::TempDir() + "/cdbtune_model";
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "cdbtune_model_dir";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string prefix = (dir / "model").string();
   ASSERT_TRUE(trained.SaveModel(prefix).ok());
+  // One file holds the whole model.
+  std::vector<std::string> written;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    written.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(written, std::vector<std::string>{"model.model"});
 
   auto db2 = env::SimulatedCdb::MysqlCdb(env::CdbA(), 12);
   CdbTuner restored(db2.get(), space, FastOptions());
   ASSERT_TRUE(restored.LoadModel(prefix).ok());
-  // Identical policies and identical best-experience memory.
+  // Identical policies, normalization and best-experience memory.
   std::vector<double> state(env::kNumInternalMetrics, 0.2);
   EXPECT_EQ(trained.agent().SelectAction(state, false),
             restored.agent().SelectAction(state, false));
-  EXPECT_EQ(trained.best_offline_action(), restored.best_offline_action());
+  EXPECT_EQ(ModelBytes(restored), ModelBytes(trained));
   // The restored model serves a tuning request.
   db2->Reset();
   auto result = restored.OnlineTune(workload::SysbenchReadWrite());
   EXPECT_GE(result.best.throughput, result.initial.throughput * 0.99);
+  std::filesystem::remove_all(dir);
 }
 
-TEST(CdbTunerTest, LoadModelRejectsMalformedMetaUntouched) {
+TEST(CdbTunerTest, LoadModelRejectsMalformedCollectorStatisticsUntouched) {
   auto db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 15);
   auto space = knobs::KnobSpace::AllTunable(&db->registry());
-  CdbTuner trained(db.get(), space, FastOptions());
+  CdbTuner trained(db.get(), space, SmallModelOptions());
   trained.OfflineTrain(workload::SysbenchReadWrite());
-  const std::string prefix = ::testing::TempDir() + "/cdbtune_bad_meta";
-  ASSERT_TRUE(trained.SaveModel(prefix).ok());
+  const std::string prefix = ::testing::TempDir() + "/cdbtune_bad_collector";
 
   auto db2 = env::SimulatedCdb::MysqlCdb(env::CdbA(), 15);
-  CdbTuner victim(db2.get(), space, FastOptions());
-  std::vector<double> state(env::kNumInternalMetrics, 0.2);
-  const std::vector<double> before = victim.agent().SelectAction(state, false);
-  const size_t observations = victim.collector().observations();
+  CdbTuner victim(db2.get(), space, SmallModelOptions());
+  const std::string before = ModelBytes(victim);
 
-  // Valid weights beside a .meta whose collector statistics are garbage:
-  // a Status, not an abort, and neither the agent nor the collector moves.
-  const std::string bad_metas[] = {
+  // Valid weights beside collector statistics that are garbage: a Status,
+  // not an abort, and neither the agent nor the collector moves.
+  const std::string bad_blobs[] = {
       "garbage\n",
       std::to_string(env::kNumInternalMetrics) + "\nnot-a-number\n"};
-  for (const std::string& meta : bad_metas) {
-    ASSERT_TRUE(persist::AtomicWriteFile(prefix + ".meta", meta).ok());
+  for (const std::string& blob : bad_blobs) {
+    ASSERT_TRUE(trained.SaveModel(prefix).ok());
+    persist::Encoder meta;
+    meta.WriteString(blob);
+    meta.WriteDoubleVec(trained.best_offline_action());
+    RewriteModelMeta(prefix, meta.Release());
     util::Status loaded = victim.LoadModel(prefix);
     EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss) << loaded.ToString();
-    EXPECT_EQ(victim.agent().SelectAction(state, false), before);
-    EXPECT_EQ(victim.collector().observations(), observations);
-    EXPECT_TRUE(victim.best_offline_action().empty());
+    EXPECT_EQ(ModelBytes(victim), before);
   }
+  std::remove((prefix + ".model").c_str());
+}
+
+// Regression: a best action of the wrong length used to load and then abort
+// OnlineTune at the best-known step. LoadModel must answer kDataLoss.
+TEST(CdbTunerTest, LoadModelRejectsWrongLengthBestActionUntouched) {
+  auto db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 16);
+  auto space = knobs::KnobSpace::AllTunable(&db->registry());
+  CdbTuner trained(db.get(), space, SmallModelOptions());
+  trained.OfflineTrain(workload::SysbenchReadWrite());
+  ASSERT_EQ(trained.best_offline_action().size(), space.action_dim());
+  const std::string prefix = ::testing::TempDir() + "/cdbtune_bad_action";
+
+  auto db2 = env::SimulatedCdb::MysqlCdb(env::CdbA(), 16);
+  CdbTuner victim(db2.get(), space, SmallModelOptions());
+  const std::string before = ModelBytes(victim);
+
+  for (size_t length : {space.action_dim() - 1, space.action_dim() + 1}) {
+    ASSERT_TRUE(trained.SaveModel(prefix).ok());
+    persist::Encoder meta;
+    trained.collector().SaveBinary(meta);
+    meta.WriteDoubleVec(std::vector<double>(length, 0.5));
+    RewriteModelMeta(prefix, meta.Release());
+    util::Status loaded = victim.LoadModel(prefix);
+    EXPECT_EQ(loaded.code(), util::StatusCode::kDataLoss) << loaded.ToString();
+    EXPECT_EQ(ModelBytes(victim), before);
+  }
+  // The victim still serves a tuning request through its best-known step.
+  db2->Reset();
+  EXPECT_GE(victim.OnlineTune(workload::SysbenchReadWrite()).steps, 2);
+  std::remove((prefix + ".model").c_str());
 }
 
 TEST(CdbTunerTest, LoadModelMissingFileFails) {
   auto db = env::SimulatedCdb::MysqlCdb(env::CdbA(), 13);
   auto space = knobs::KnobSpace::AllTunable(&db->registry());
   CdbTuner tuner(db.get(), space, FastOptions());
-  EXPECT_FALSE(tuner.LoadModel("/nonexistent/path/model").ok());
+  EXPECT_EQ(tuner.LoadModel("/nonexistent/path/model").code(),
+            util::StatusCode::kNotFound);
 }
 
 TEST(CdbTunerTest, BootstrapFromPoolFeedsReplay) {
