@@ -151,12 +151,11 @@ std::vector<double> OtterTune::ScoreCandidates(
       nn::Matrix pred = net.Forward(x, /*training=*/true);
       nn::Matrix grad;
       nn::MseLoss(pred, y, &grad);
-      net.Backward(grad);
+      net.Backward(grad, /*param_grads=*/true, nn::kNoInputGrad);
       opt.Step();
     }
     for (size_t c = 0; c < candidates.size(); ++c) {
-      nn::Matrix p = net.Forward(nn::Matrix::RowVector(candidates[c]),
-                                 /*training=*/false);
+      nn::Matrix p = net.Infer(nn::Matrix::RowVector(candidates[c]));
       scores[c] = p.at(0, 0);
     }
     return scores;

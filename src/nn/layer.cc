@@ -49,6 +49,16 @@ util::Status Layer::LoadBinary(persist::Decoder& dec) {
   return util::Status::Ok();
 }
 
+Matrix Layer::BackwardFrom(const Matrix& grad_output, bool param_grads,
+                           size_t first_input_col) {
+  CDBTUNE_CHECK(first_input_col == 0 || first_input_col == kNoInputGrad)
+      << Name() << " cannot trim its input gradient at column "
+      << first_input_col;
+  Matrix grad_in = Backward(grad_output, param_grads);
+  if (first_input_col == 0) return grad_in;
+  return Matrix(grad_in.rows(), 0);
+}
+
 Linear::Linear(size_t in_features, size_t out_features, util::Rng& rng,
                InitScheme init) {
   Matrix w;
@@ -71,37 +81,55 @@ Linear::Linear(size_t in_features, size_t out_features, util::Rng& rng,
 }
 
 Matrix Linear::Forward(const Matrix& input, bool /*training*/) {
-  CDBTUNE_DCHECK_EQ(input.cols(), in_features());
   input_cache_ = input;
+  return Infer(input);
+}
+
+Matrix Linear::Infer(const Matrix& input) const {
+  CDBTUNE_DCHECK_EQ(input.cols(), in_features());
   return input.MatMulBias(weight_.value, bias_.value);
 }
 
-Matrix Linear::Backward(const Matrix& grad_output, bool param_grads) {
+// Fused kernels: dW = input^T * g accumulated straight into the grad buffer
+// and dX = g * W^T, without materializing either transpose or a dW
+// temporary.
+void Linear::AccumulateParamGrads(const Matrix& grad_output) {
   CDBTUNE_CHECK(!input_cache_.empty()) << "Backward before Forward";
   CDBTUNE_DCHECK_EQ(grad_output.cols(), out_features());
   CDBTUNE_DCHECK_EQ(grad_output.rows(), input_cache_.rows());
-  // Fused kernels: dW = input^T * g accumulated straight into the grad
-  // buffer and dX = g * W^T, without materializing either transpose or a
-  // dW temporary.
-  if (param_grads) {
-    input_cache_.MatMulTransposedAAccumulate(grad_output, &weight_.grad);
-    bias_.grad.AddInPlace(grad_output.SumRows());
-  }
+  input_cache_.MatMulTransposedAAccumulate(grad_output, &weight_.grad);
+  bias_.grad.AddInPlace(grad_output.SumRows());
+}
+
+Matrix Linear::Backward(const Matrix& grad_output, bool param_grads) {
+  if (param_grads) AccumulateParamGrads(grad_output);
   return grad_output.MatMulTransposedB(weight_.value);
+}
+
+Matrix Linear::BackwardFrom(const Matrix& grad_output, bool param_grads,
+                            size_t first_input_col) {
+  if (first_input_col == 0) return Backward(grad_output, param_grads);
+  CDBTUNE_CHECK(first_input_col == kNoInputGrad)
+      << "Linear cannot trim its input gradient at column " << first_input_col;
+  if (param_grads) AccumulateParamGrads(grad_output);
+  return Matrix(grad_output.rows(), 0);
 }
 
 Matrix Relu::Forward(const Matrix& input, bool /*training*/) {
   if (!mask_.SameShape(input)) mask_ = Matrix(input.rows(), input.cols());
-  Matrix out(input.rows(), input.cols());
   const double* x = input.data();
   double* m = mask_.data();
+  const size_t n = input.size();
+  for (size_t i = 0; i < n; ++i) m[i] = x[i] > 0.0 ? 1.0 : 0.0;
+  return Infer(input);
+}
+
+Matrix Relu::Infer(const Matrix& input) const {
+  Matrix out(input.rows(), input.cols());
+  const double* x = input.data();
   double* y = out.data();
   const size_t n = input.size();
-  for (size_t i = 0; i < n; ++i) {
-    const bool positive = x[i] > 0.0;
-    m[i] = positive ? 1.0 : 0.0;
-    y[i] = positive ? x[i] : 0.0;
-  }
+  for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0 ? x[i] : 0.0;
   return out;
 }
 
@@ -115,17 +143,21 @@ Matrix Relu::Backward(const Matrix& grad_output, bool /*param_grads*/) {
 
 Matrix LeakyRelu::Forward(const Matrix& input, bool /*training*/) {
   if (!mask_.SameShape(input)) mask_ = Matrix(input.rows(), input.cols());
-  Matrix out(input.rows(), input.cols());
   const double slope = slope_;
   const double* x = input.data();
   double* m = mask_.data();
+  const size_t n = input.size();
+  for (size_t i = 0; i < n; ++i) m[i] = x[i] > 0.0 ? 1.0 : slope;
+  return Infer(input);
+}
+
+Matrix LeakyRelu::Infer(const Matrix& input) const {
+  Matrix out(input.rows(), input.cols());
+  const double slope = slope_;
+  const double* x = input.data();
   double* y = out.data();
   const size_t n = input.size();
-  for (size_t i = 0; i < n; ++i) {
-    const bool positive = x[i] > 0.0;
-    m[i] = positive ? 1.0 : slope;
-    y[i] = positive ? x[i] : slope * x[i];
-  }
+  for (size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0 ? x[i] : slope * x[i];
   return out;
 }
 
@@ -138,8 +170,12 @@ Matrix LeakyRelu::Backward(const Matrix& grad_output, bool /*param_grads*/) {
 }
 
 Matrix Tanh::Forward(const Matrix& input, bool /*training*/) {
-  output_cache_ = input.Map([](double x) { return std::tanh(x); });
+  output_cache_ = Infer(input);
   return output_cache_;
+}
+
+Matrix Tanh::Infer(const Matrix& input) const {
+  return input.Map([](double x) { return std::tanh(x); });
 }
 
 Matrix Tanh::Backward(const Matrix& grad_output, bool /*param_grads*/) {
@@ -154,8 +190,12 @@ Matrix Tanh::Backward(const Matrix& grad_output, bool /*param_grads*/) {
 }
 
 Matrix Sigmoid::Forward(const Matrix& input, bool /*training*/) {
-  output_cache_ = input.Map([](double x) { return 1.0 / (1.0 + std::exp(-x)); });
+  output_cache_ = Infer(input);
   return output_cache_;
+}
+
+Matrix Sigmoid::Infer(const Matrix& input) const {
+  return input.Map([](double x) { return 1.0 / (1.0 + std::exp(-x)); });
 }
 
 Matrix Sigmoid::Backward(const Matrix& grad_output, bool /*param_grads*/) {
@@ -177,53 +217,70 @@ BatchNorm::BatchNorm(size_t features, double momentum, double epsilon)
       running_mean_(1, features, 0.0),
       running_var_(1, features, 1.0) {}
 
+Matrix BatchNorm::StdInv(const Matrix& var) const {
+  Matrix std_inv(1, var.cols());
+  for (size_t c = 0; c < var.cols(); ++c) {
+    std_inv.at(0, c) = 1.0 / std::sqrt(var.at(0, c) + epsilon_);
+  }
+  return std_inv;
+}
+
+Matrix BatchNorm::Normalize(const Matrix& input, const Matrix& mean,
+                            const Matrix& std_inv, Matrix* x_hat) const {
+  const size_t n = input.rows();
+  const size_t f = input.cols();
+  CDBTUNE_CHECK(f == gamma_.value.cols())
+      << "BatchNorm feature mismatch: " << f << " vs " << gamma_.value.cols();
+  Matrix out(n, f);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < f; ++c) {
+      double xh = (input.at(r, c) - mean.at(0, c)) * std_inv.at(0, c);
+      if (x_hat != nullptr) x_hat->at(r, c) = xh;
+      out.at(r, c) = gamma_.value.at(0, c) * xh + beta_.value.at(0, c);
+    }
+  }
+  return out;
+}
+
+Matrix BatchNorm::Infer(const Matrix& input) const {
+  return Normalize(input, running_mean_, StdInv(running_var_), nullptr);
+}
+
 Matrix BatchNorm::Forward(const Matrix& input, bool training) {
   const size_t n = input.rows();
   const size_t f = input.cols();
   CDBTUNE_CHECK(f == gamma_.value.cols())
       << "BatchNorm feature mismatch: " << f << " vs " << gamma_.value.cols();
+  // A batch of one has no spread: it normalizes with running statistics,
+  // exactly like eval mode.
+  training_backward_ = training && n > 1;
+  if (!training_backward_) {
+    std_inv_ = StdInv(running_var_);
+    x_hat_ = Matrix(n, f);
+    // In eval mode the backward pass treats mean/var as constants, which
+    // the cached x_hat_/std_inv_ already encode.
+    return Normalize(input, running_mean_, std_inv_, &x_hat_);
+  }
 
-  Matrix mean(1, f);
+  Matrix mean = input.MeanRows();
   Matrix var(1, f);
-  if (training && n > 1) {
-    mean = input.MeanRows();
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < f; ++c) {
-        double d = input.at(r, c) - mean.at(0, c);
-        var.at(0, c) += d * d;
-      }
-    }
-    var.Scale(1.0 / static_cast<double>(n));
-    // Update running statistics (exponential moving average).
-    for (size_t c = 0; c < f; ++c) {
-      running_mean_.at(0, c) = (1.0 - momentum_) * running_mean_.at(0, c) +
-                               momentum_ * mean.at(0, c);
-      running_var_.at(0, c) =
-          (1.0 - momentum_) * running_var_.at(0, c) + momentum_ * var.at(0, c);
-    }
-  } else {
-    mean = running_mean_;
-    var = running_var_;
-  }
-
-  std_inv_ = Matrix(1, f);
-  for (size_t c = 0; c < f; ++c) {
-    std_inv_.at(0, c) = 1.0 / std::sqrt(var.at(0, c) + epsilon_);
-  }
-
-  x_hat_ = Matrix(n, f);
-  Matrix out(n, f);
   for (size_t r = 0; r < n; ++r) {
     for (size_t c = 0; c < f; ++c) {
-      double xh = (input.at(r, c) - mean.at(0, c)) * std_inv_.at(0, c);
-      x_hat_.at(r, c) = xh;
-      out.at(r, c) = gamma_.value.at(0, c) * xh + beta_.value.at(0, c);
+      double d = input.at(r, c) - mean.at(0, c);
+      var.at(0, c) += d * d;
     }
   }
-  // In eval mode (or batch of one) the backward pass treats mean/var as
-  // constants, which the cached x_hat_/std_inv_ already encode.
-  training_backward_ = training && n > 1;
-  return out;
+  var.Scale(1.0 / static_cast<double>(n));
+  // Update running statistics (exponential moving average).
+  for (size_t c = 0; c < f; ++c) {
+    running_mean_.at(0, c) = (1.0 - momentum_) * running_mean_.at(0, c) +
+                             momentum_ * mean.at(0, c);
+    running_var_.at(0, c) =
+        (1.0 - momentum_) * running_var_.at(0, c) + momentum_ * var.at(0, c);
+  }
+  std_inv_ = StdInv(var);
+  x_hat_ = Matrix(n, f);
+  return Normalize(input, mean, std_inv_, &x_hat_);
 }
 
 Matrix BatchNorm::Backward(const Matrix& grad_output, bool param_grads) {
@@ -308,12 +365,31 @@ Matrix ParallelLinear::Forward(const Matrix& input, bool training) {
   return left_y.ConcatCols(right_y);
 }
 
+Matrix ParallelLinear::Infer(const Matrix& input) const {
+  Matrix left_x, right_x;
+  input.SplitCols(left_in_, &left_x, &right_x);
+  return left_.Infer(left_x).ConcatCols(right_.Infer(right_x));
+}
+
 Matrix ParallelLinear::Backward(const Matrix& grad_output, bool param_grads) {
   Matrix left_g, right_g;
   grad_output.SplitCols(left_out_, &left_g, &right_g);
   Matrix left_dx = left_.Backward(left_g, param_grads);
   Matrix right_dx = right_.Backward(right_g, param_grads);
   return left_dx.ConcatCols(right_dx);
+}
+
+Matrix ParallelLinear::BackwardFrom(const Matrix& grad_output,
+                                    bool param_grads, size_t first_input_col) {
+  if (first_input_col == 0) return Backward(grad_output, param_grads);
+  CDBTUNE_CHECK(first_input_col == left_in_ || first_input_col == kNoInputGrad)
+      << "ParallelLinear cannot trim its input gradient at column "
+      << first_input_col << " (only at its split, " << left_in_ << ")";
+  Matrix left_g, right_g;
+  grad_output.SplitCols(left_out_, &left_g, &right_g);
+  left_.BackwardFrom(left_g, param_grads, kNoInputGrad);
+  return right_.BackwardFrom(right_g, param_grads,
+                             first_input_col == left_in_ ? 0 : kNoInputGrad);
 }
 
 std::vector<Parameter*> ParallelLinear::Params() {
@@ -329,7 +405,7 @@ Dropout::Dropout(double rate, util::Rng& rng) : rate_(rate), rng_(&rng) {
 Matrix Dropout::Forward(const Matrix& input, bool training) {
   if (!training || rate_ == 0.0) {
     mask_valid_ = false;
-    return input;
+    return Infer(input);
   }
   const double keep = 1.0 - rate_;
   mask_ = Matrix(input.rows(), input.cols());
@@ -344,6 +420,8 @@ Matrix Dropout::Forward(const Matrix& input, bool training) {
   mask_valid_ = true;
   return out;
 }
+
+Matrix Dropout::Infer(const Matrix& input) const { return input; }
 
 Matrix Dropout::Backward(const Matrix& grad_output, bool /*param_grads*/) {
   if (!mask_valid_) return grad_output;

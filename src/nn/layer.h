@@ -39,6 +39,10 @@ enum class InitScheme {
   kXavierUniform,  // U(+-sqrt(6/(fan_in+fan_out)))
 };
 
+/// `first_input_col` for Layer::BackwardFrom / Sequential::Backward when
+/// the caller discards the whole input gradient.
+inline constexpr size_t kNoInputGrad = static_cast<size_t>(-1);
+
 /// Base class for all network layers.
 ///
 /// The library uses explicit forward/backward (no autograd tape): Forward
@@ -51,6 +55,12 @@ class Layer {
 
   /// `training` toggles BatchNorm batch statistics and Dropout masking.
   virtual Matrix Forward(const Matrix& input, bool training) = 0;
+  /// Eval-mode forward that writes nothing: bitwise equal to
+  /// Forward(input, /*training=*/false) (Forward's eval arithmetic calls
+  /// into it), but no activation cache is touched, so any number of threads
+  /// may Infer through one layer at once and an Infer between a Forward and
+  /// its Backward changes nothing. For forwards no Backward follows.
+  virtual Matrix Infer(const Matrix& input) const = 0;
   /// `param_grads = false` skips accumulation into Parameter::grad and only
   /// propagates dLoss/dInput — the DDPG actor update backpropagates through
   /// the critic without wanting critic gradients, and the weight-gradient
@@ -58,6 +68,14 @@ class Layer {
   /// same default so the flag behaves identically through any static type.
   virtual Matrix Backward(const Matrix& grad_output,
                           bool param_grads = true) = 0;
+  /// Backward for a network's first layer when the caller reads only input
+  /// gradient columns [first_input_col, in): accumulates the same parameter
+  /// gradients and returns just those columns. Every layer accepts 0 (the
+  /// whole gradient) and kNoInputGrad (none); ParallelLinear also accepts
+  /// its split point. Any other column dies. Linear layers skip the GEMM
+  /// work for the unread columns.
+  virtual Matrix BackwardFrom(const Matrix& grad_output, bool param_grads,
+                              size_t first_input_col);
 
   /// Learnable parameters, if any. Pointers stay valid for the layer's life.
   virtual std::vector<Parameter*> Params() { return {}; }
@@ -80,7 +98,10 @@ class Linear : public Layer {
          InitScheme init = InitScheme::kUniform01);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
+  Matrix BackwardFrom(const Matrix& grad_output, bool param_grads,
+                      size_t first_input_col) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
   std::string Name() const override { return "Linear"; }
 
@@ -88,6 +109,9 @@ class Linear : public Layer {
   size_t out_features() const { return weight_.value.cols(); }
 
  private:
+  /// dW += input^T * g and db += colsum(g), from the cached input.
+  void AccumulateParamGrads(const Matrix& grad_output);
+
   Parameter weight_;  // in x out
   Parameter bias_;    // 1 x out
   Matrix input_cache_;
@@ -97,6 +121,7 @@ class Linear : public Layer {
 class Relu : public Layer {
  public:
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Relu"; }
 
@@ -114,6 +139,7 @@ class LeakyRelu : public Layer {
   explicit LeakyRelu(double slope = 0.2) : slope_(slope) {}
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "LeakyRelu"; }
 
@@ -127,6 +153,7 @@ class LeakyRelu : public Layer {
 class Tanh : public Layer {
  public:
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Tanh"; }
 
@@ -139,6 +166,7 @@ class Tanh : public Layer {
 class Sigmoid : public Layer {
  public:
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Sigmoid"; }
 
@@ -154,6 +182,7 @@ class BatchNorm : public Layer {
                      double epsilon = 1e-5);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::vector<Parameter*> Params() override { return {&gamma_, &beta_}; }
   std::string Name() const override { return "BatchNorm"; }
@@ -165,6 +194,15 @@ class BatchNorm : public Layer {
   const Matrix& running_var() const { return running_var_; }
 
  private:
+  /// 1 / sqrt(var + epsilon), per feature.
+  Matrix StdInv(const Matrix& var) const;
+  /// gamma * (input - mean) * std_inv + beta: the one copy of the
+  /// normalization arithmetic, shared by Forward (batch or running
+  /// statistics) and Infer. Also stores the normalized input when `x_hat`
+  /// is non-null.
+  Matrix Normalize(const Matrix& input, const Matrix& mean,
+                   const Matrix& std_inv, Matrix* x_hat) const;
+
   double momentum_;
   double epsilon_;
   Parameter gamma_;  // 1 x features
@@ -193,7 +231,12 @@ class ParallelLinear : public Layer {
                  InitScheme init = InitScheme::kUniform01);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
+  /// A `first_input_col` of `left_in` skips the left embedding's
+  /// input-gradient GEMM (the DDPG actor update reads only dQ/daction).
+  Matrix BackwardFrom(const Matrix& grad_output, bool param_grads,
+                      size_t first_input_col) override;
   std::vector<Parameter*> Params() override;
   std::string Name() const override { return "ParallelLinear"; }
 
@@ -214,6 +257,7 @@ class Dropout : public Layer {
   Dropout(double rate, util::Rng& rng);
 
   Matrix Forward(const Matrix& input, bool training) override;
+  Matrix Infer(const Matrix& input) const override;
   Matrix Backward(const Matrix& grad_output, bool param_grads = true) override;
   std::string Name() const override { return "Dropout"; }
 

@@ -15,12 +15,20 @@ Matrix Sequential::Forward(const Matrix& input, bool training) {
   return x;
 }
 
-Matrix Sequential::Backward(const Matrix& grad_output, bool param_grads) {
+Matrix Sequential::Infer(const Matrix& input) const {
+  Matrix x = input;
+  for (const auto& layer : layers_) x = layer->Infer(x);
+  return x;
+}
+
+Matrix Sequential::Backward(const Matrix& grad_output, bool param_grads,
+                            size_t first_input_col) {
+  if (layers_.empty()) return grad_output;
   Matrix g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g, param_grads);
+  for (size_t i = layers_.size() - 1; i > 0; --i) {
+    g = layers_[i]->Backward(g, param_grads);
   }
-  return g;
+  return layers_[0]->BackwardFrom(g, param_grads, first_input_col);
 }
 
 std::vector<Parameter*> Sequential::Params() {

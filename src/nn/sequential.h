@@ -31,11 +31,22 @@ class Sequential {
   /// Runs all layers in order. `training` is forwarded to each layer.
   Matrix Forward(const Matrix& input, bool training);
 
+  /// Eval-mode forward through Layer::Infer: bitwise equal to
+  /// Forward(input, false), but const and cache-free, so concurrent callers
+  /// may share one network. The path for every forward no Backward follows.
+  Matrix Infer(const Matrix& input) const;
+
   /// Backpropagates dLoss/dOutput through the stack, accumulating parameter
   /// gradients; returns dLoss/dInput. `param_grads = false` propagates the
   /// input gradient only (no Parameter::grad accumulation) — used when a
   /// network is differentiated through rather than trained.
-  Matrix Backward(const Matrix& grad_output, bool param_grads = true);
+  /// `first_input_col` trims the returned gradient to input columns
+  /// [first_input_col, in) — kNoInputGrad when the caller discards it, or
+  /// a first-layer ParallelLinear's split point — and the first layer skips
+  /// the GEMM work for the columns nobody reads (Layer::BackwardFrom). The
+  /// columns returned are bitwise unchanged.
+  Matrix Backward(const Matrix& grad_output, bool param_grads = true,
+                  size_t first_input_col = 0);
 
   /// All learnable parameters in layer order.
   std::vector<Parameter*> Params();

@@ -198,10 +198,9 @@ std::vector<double> DdpgAgent::SelectAction(const std::vector<double>& state,
 }
 
 std::vector<double> DdpgAgent::SelectAction(const std::vector<double>& state,
-                                            ActionNoise* noise) {
+                                            ActionNoise* noise) const {
   CDBTUNE_CHECK(state.size() == options_.state_dim) << "state dim mismatch";
-  Matrix s = Matrix::RowVector(state);
-  Matrix a = actor_.Forward(s, /*training=*/false);
+  Matrix a = actor_.Infer(Matrix::RowVector(state));
   std::vector<double> action = a.Row(0);
   if (noise != nullptr) {
     std::vector<double> n = noise->Sample();
@@ -255,10 +254,9 @@ TrainStats DdpgAgent::TrainStep() {
   critic_.ZeroGrad();
   util::ComputeContext::Get().RunConcurrent(
       {[&] {
-         Matrix next_actions =
-             actor_target_.Forward(next_states, /*training=*/false);
-         Matrix next_q = critic_target_.Forward(
-             CriticInput(next_states, next_actions), /*training=*/false);
+         Matrix next_actions = actor_target_.Infer(next_states);
+         Matrix next_q =
+             critic_target_.Infer(CriticInput(next_states, next_actions));
          for (size_t i = 0; i < batch; ++i) {
            double bootstrap =
                terminal[i] ? 0.0 : options_.gamma * next_q.at(i, 0);
@@ -280,7 +278,9 @@ TrainStats DdpgAgent::TrainStep() {
     grad.at(i, 0) = 2.0 * w * diff / static_cast<double>(batch);
   }
   loss /= static_cast<double>(batch);
-  critic_.Backward(grad);
+  // The critic's input gradient is unused here: skip both embeddings'
+  // input-gradient GEMMs.
+  critic_.Backward(grad, /*param_grads=*/true, nn::kNoInputGrad);
   critic_opt_->ClipGradNorm(options_.grad_clip);
   critic_opt_->Step();
   replay_->UpdatePriorities(sample.indices, td_errors);
@@ -288,16 +288,17 @@ TrainStats DdpgAgent::TrainStep() {
   // ---- Actor update (Algorithm 1, step 7) -------------------------------
   // Maximize Q(s, mu(s)): push -dQ/da through the actor. The critic is only
   // differentiated *through* here — param_grads=false skips its
-  // weight-gradient GEMMs entirely instead of computing and discarding them.
+  // weight-gradient GEMMs entirely instead of computing and discarding them,
+  // and only the action columns of its input gradient are formed. The
+  // actor's own input gradient (dLoss/dstate) is never read.
   actor_.ZeroGrad();
   Matrix policy_actions = actor_.Forward(states, /*training=*/true);
   Matrix policy_q = critic_.Forward(CriticInput(states, policy_actions),
                                     /*training=*/false);
   Matrix dq(batch, 1, -1.0 / static_cast<double>(batch));
-  Matrix grad_input = critic_.Backward(dq, /*param_grads=*/false);
-  Matrix grad_states, grad_actions;
-  grad_input.SplitCols(options_.state_dim, &grad_states, &grad_actions);
-  actor_.Backward(grad_actions);
+  Matrix grad_actions =
+      critic_.Backward(dq, /*param_grads=*/false, options_.state_dim);
+  actor_.Backward(grad_actions, /*param_grads=*/true, nn::kNoInputGrad);
   actor_opt_->ClipGradNorm(options_.grad_clip);
   actor_opt_->Step();
 
@@ -322,10 +323,9 @@ void DdpgAgent::DecayNoise() {
 void DdpgAgent::ResetNoise() { noise_.Reset(); }
 
 double DdpgAgent::EstimateQ(const std::vector<double>& state,
-                            const std::vector<double>& action) {
-  Matrix s = Matrix::RowVector(state);
-  Matrix a = Matrix::RowVector(action);
-  Matrix q = critic_.Forward(CriticInput(s, a), /*training=*/false);
+                            const std::vector<double>& action) const {
+  Matrix q = critic_.Infer(
+      CriticInput(Matrix::RowVector(state), Matrix::RowVector(action)));
   return q.at(0, 0);
 }
 

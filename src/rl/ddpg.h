@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/optimizer.h"
@@ -87,13 +88,22 @@ class DdpgAgent {
                                    bool explore);
 
   /// Policy output plus exploration noise drawn from the *caller's* process
-  /// (nullptr = greedy). This is the multi-session entry point: each session
-  /// owns its noise stream, so trajectories are independent of how sessions
-  /// interleave. The forward pass itself still mutates per-layer activation
-  /// caches — callers sharing one agent must serialize calls (the tuning
-  /// server wraps this in its model lock).
+  /// (nullptr = greedy). This is the one inference path (CdbTuner, the
+  /// tuning server's sessions and Recommend all end here) and the
+  /// multi-session entry point: each session owns its noise stream, so
+  /// trajectories are independent of how sessions interleave, and the
+  /// forward is a const, cache-free Sequential::Infer, so any number of
+  /// threads may call it on one agent at once. Only weight updates
+  /// (TrainStep, restore, clone) must exclude it; the tuning server holds
+  /// its model lock shared for this call and exclusive for those.
   std::vector<double> SelectAction(const std::vector<double>& state,
-                                   ActionNoise* noise);
+                                   ActionNoise* noise) const;
+  /// The same call on a non-const agent. Without it a pointer argument would
+  /// tie against the bool overload's pointer-to-bool conversion.
+  std::vector<double> SelectAction(const std::vector<double>& state,
+                                   ActionNoise* noise) {
+    return std::as_const(*this).SelectAction(state, noise);
+  }
 
   /// Stores a transition in replay memory.
   void Observe(Transition transition);
@@ -112,7 +122,7 @@ class DdpgAgent {
 
   /// Critic estimate Q(s, a); exposed for tests and diagnostics.
   double EstimateQ(const std::vector<double>& state,
-                   const std::vector<double>& action);
+                   const std::vector<double>& action) const;
 
   /// Writes the *complete* agent state as checkpoint chunks under `prefix`
   /// (DESIGN.md §9): options, both online and both target networks
@@ -142,7 +152,8 @@ class DdpgAgent {
  private:
   nn::Sequential BuildActor();
   nn::Sequential BuildCritic();
-  nn::Matrix CriticInput(const nn::Matrix& states, const nn::Matrix& actions);
+  static nn::Matrix CriticInput(const nn::Matrix& states,
+                                const nn::Matrix& actions);
 
   DdpgOptions options_;
   util::Rng rng_;

@@ -184,12 +184,14 @@ struct TuningServer::Session {
 
 std::vector<double> TuningServer::ServerPolicy::ProposeAction(
     const std::vector<double>& state, bool explore) {
-  util::MutexLock lock(server_->agent_mu_);
+  // Shared: concurrent sessions run their forwards in parallel; only a
+  // weight update (exclusive) waits for them.
+  util::ReaderLock lock(server_->agent_mu_);
   return server_->agent_->SelectAction(state, explore ? noise_ : nullptr);
 }
 
 std::vector<double> TuningServer::ServerPolicy::BestKnownAction() const {
-  util::MutexLock lock(server_->agent_mu_);
+  util::ReaderLock lock(server_->agent_mu_);
   return server_->best_offline_action_;
 }
 
@@ -209,7 +211,7 @@ TuningServer::TuningServer(TuningServerOptions options)
 TuningServer::~TuningServer() { DrainAndStop(); }
 
 util::Status TuningServer::AdoptModel(tuner::CdbTuner& trained) {
-  util::MutexLock lock(agent_mu_);
+  util::WriterLock lock(agent_mu_);
   if (agent_ != nullptr) {
     return util::Status::FailedPrecondition("model already adopted");
   }
@@ -221,7 +223,7 @@ util::Status TuningServer::AdoptModel(tuner::CdbTuner& trained) {
 }
 
 bool TuningServer::model_ready() const {
-  util::MutexLock lock(agent_mu_);
+  util::ReaderLock lock(agent_mu_);
   return agent_ != nullptr;
 }
 
@@ -321,7 +323,7 @@ util::StatusOr<int> TuningServer::Open(const SessionSpec& spec) {
   rl::DdpgOptions model;
   tuner::MetricsCollector collector;
   {
-    util::MutexLock lock(agent_mu_);
+    util::ReaderLock lock(agent_mu_);
     if (agent_ == nullptr) {
       return util::Status::FailedPrecondition(
           "no model adopted; call AdoptModel first");
@@ -444,7 +446,7 @@ void TuningServer::MergeAndTrain(int iters) {
   // CollectNew's (shard index, arrival) order makes what the shared agent
   // sees independent of how the round's steps were scheduled.
   std::vector<tuner::Experience> fresh = shards_.CollectNew();
-  util::MutexLock lock(agent_mu_);
+  util::WriterLock lock(agent_mu_);
   if (agent_ == nullptr) return;
   for (tuner::Experience& experience : fresh) {
     agent_->Observe(std::move(experience.transition));
@@ -473,7 +475,8 @@ util::StatusOr<size_t> TuningServer::StepRound() {
 
   // Fan the round out over the compute pool. Each task touches only its own
   // session (environment, collector, noise, shard); the one shared resource
-  // — policy inference — is serialized inside ServerPolicy.
+  // — the model — is only read (ServerPolicy holds agent_mu_ shared), so
+  // the round's policy forwards run in parallel too.
   std::vector<std::function<void()>> tasks;
   tasks.reserve(round.size());
   for (Session* session : round) {
@@ -531,7 +534,7 @@ util::Status TuningServer::Train(int iters) {
 
 util::StatusOr<std::vector<double>> TuningServer::Recommend(
     const std::vector<double>& state) {
-  util::MutexLock lock(agent_mu_);
+  util::ReaderLock lock(agent_mu_);
   if (agent_ == nullptr) {
     return util::Status::FailedPrecondition("no model adopted");
   }
@@ -637,7 +640,7 @@ void TuningServer::DrainAndStop() {
 
 void TuningServer::AppendCheckpointChunks(persist::ChunkWriter& writer) {
   {
-    util::MutexLock lock(agent_mu_);
+    util::ReaderLock lock(agent_mu_);
     CDBTUNE_CHECK(agent_ != nullptr) << "checkpoint needs an adopted model";
     tuner::AppendModelChunks(writer, *agent_, collector_template_,
                              best_offline_action_);
@@ -681,7 +684,7 @@ void TuningServer::AppendCheckpointChunks(persist::ChunkWriter& writer) {
 
 util::Status TuningServer::SaveCheckpointExclusive(const std::string& path) {
   {
-    util::MutexLock lock(agent_mu_);
+    util::ReaderLock lock(agent_mu_);
     if (agent_ == nullptr) {
       return util::Status::FailedPrecondition(
           "no model adopted; nothing to checkpoint");
@@ -825,7 +828,7 @@ util::StatusOr<RestoreReport> TuningServer::RestoreCheckpoint(
     // rank order (kServerSessions < kServerAgent) the annotations encode.
     util::MutexLock lock(mu_);
     {
-      util::MutexLock agent_lock(agent_mu_);
+      util::WriterLock agent_lock(agent_mu_);
       agent_ = std::move(staged_model->agent);
       collector_template_ = std::move(staged_model->collector);
       best_offline_action_ = std::move(staged_model->best_action);
@@ -856,7 +859,7 @@ util::StatusOr<RebuildReport> TuningServer::Rebuild(const RebuildSpec& spec) {
     BeginExclusive();
   }
   auto result = [&]() -> util::StatusOr<RebuildReport> {
-    util::MutexLock lock(agent_mu_);
+    util::WriterLock lock(agent_mu_);
     if (agent_ == nullptr) {
       return util::Status::FailedPrecondition("no model adopted");
     }

@@ -159,9 +159,12 @@ struct RebuildReport {
 ///     metrics-collector statistics, OU exploration stream, and one shard of
 ///     the sharded experience pool. Nothing session-affecting is shared.
 ///   - The shared agent is the only cross-session state. Policy inference
-///     is serialized by `agent_mu_` (a forward pass mutates per-layer
-///     activation caches) but is a pure function of weights + input, so the
-///     serialization order cannot leak into results.
+///     is a const, cache-free forward (DdpgAgent::SelectAction over
+///     Sequential::Infer) that holds `agent_mu_` *shared*, so concurrent
+///     STEPs and a round's fan-out run their forwards in parallel. It is a
+///     pure function of weights + input, so the interleaving cannot leak
+///     into results. Weight changes (AdoptModel, MergeAndTrain, Rebuild,
+///     the restore commit) hold `agent_mu_` exclusive.
 ///   - Training only happens at barriers (StepRound / Train) while no step
 ///     is in flight; merged experiences arrive in (shard index, arrival)
 ///     order. Hence a round-driven run is bitwise reproducible for fixed
@@ -274,8 +277,8 @@ class TuningServer {
     SessionStatus status;
   };
 
-  /// PolicySource over the shared agent: serializes inference with the
-  /// model lock and injects the *session's* exploration stream.
+  /// PolicySource over the shared agent: infers under the model lock held
+  /// shared and injects the *session's* exploration stream.
   class ServerPolicy : public tuner::PolicySource {
    public:
     ServerPolicy(TuningServer* server, rl::ActionNoise* noise)
@@ -363,12 +366,17 @@ class TuningServer {
   bool draining_ CDBTUNE_GUARDED_BY(mu_) = false;
   uint64_t rounds_completed_ CDBTUNE_GUARDED_BY(mu_) = 0;
 
-  /// Shared-model lock (lock_rank::kServerAgent; initialized in the
-  /// constructor — an attribute between declarator and brace-initializer
-  /// does not parse). Independent of mu_; the only nesting ever allowed is
-  /// mu_ -> agent_mu_ (the restore commit), which both the rank order and
-  /// the acquired_after annotation encode.
-  mutable util::Mutex agent_mu_ CDBTUNE_ACQUIRED_AFTER(mu_);
+  /// Shared-model reader/writer lock (lock_rank::kServerAgent; initialized
+  /// in the constructor — an attribute between declarator and
+  /// brace-initializer does not parse). Readers: inference and model reads
+  /// (ProposeAction, BestKnownAction, Recommend, Open, checkpoint save).
+  /// Writers: anything that replaces or trains the agent. Writer-preferring,
+  /// so back-to-back Recommend readers (not fenced by the round barrier)
+  /// cannot starve a round's MergeAndTrain. Independent of
+  /// mu_; the only nesting ever allowed is mu_ -> agent_mu_ (the restore
+  /// commit), which both the rank order and the acquired_after annotation
+  /// encode.
+  mutable util::SharedMutex agent_mu_ CDBTUNE_ACQUIRED_AFTER(mu_);
   std::unique_ptr<rl::DdpgAgent> agent_ CDBTUNE_GUARDED_BY(agent_mu_);
   tuner::MetricsCollector collector_template_ CDBTUNE_GUARDED_BY(agent_mu_);
   std::vector<double> best_offline_action_ CDBTUNE_GUARDED_BY(agent_mu_);

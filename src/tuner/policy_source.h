@@ -9,9 +9,10 @@ namespace cdbtune::tuner {
 
 /// Where a session's actions come from. The implementations are the
 /// in-process tuner (CdbTuner's own agent, exploration noise and all), the
-/// multi-session server's shared-model policy — which evaluates one frozen
-/// agent snapshot under a lock and adds *session-owned* exploration noise so
-/// concurrent sessions never share mutable noise state — and the safety
+/// multi-session server's shared-model policy — which runs the agent's const
+/// forward under the model lock held shared (so sessions infer in parallel)
+/// and adds *session-owned* exploration noise so concurrent sessions never
+/// share mutable noise state — and the safety
 /// layer's GuardedPolicySource decorator, which clips whatever the wrapped
 /// policy proposes to the guardrail's trust region (src/safety).
 ///

@@ -1,10 +1,14 @@
 #ifndef CDBTUNE_UTIL_MUTEX_H_
 #define CDBTUNE_UTIL_MUTEX_H_
 
-// The one sanctioned home of raw standard-library synchronization: every
-// other file in src/ must use util::Mutex / util::MutexLock / util::CondVar
-// (the lint `raw-mutex` rule enforces this), so the thread-safety
-// annotations and the lock-rank detector see every lock in the process.
+// The one sanctioned home of raw standard-library and pthread
+// synchronization: every other file in src/ must use util::Mutex /
+// util::MutexLock / util::CondVar or util::SharedMutex / util::ReaderLock /
+// util::WriterLock (the lint `raw-mutex` rule enforces this), so the
+// thread-safety annotations and the lock-rank detector see every lock in
+// the process.
+
+#include <pthread.h>
 
 #include <condition_variable>
 #include <mutex>
@@ -34,11 +38,13 @@ inline constexpr int kNetLoopTasks = 120;
 /// TuningServer::mu_: session registry, shard free list, round/exclusivity
 /// state.
 inline constexpr int kServerSessions = 200;
-/// TuningServer::agent_mu_: the shared model. Nested inside mu_ on the
-/// restore-commit path, never the other way around.
+/// TuningServer::agent_mu_: the shared model, a SharedMutex — policy
+/// inference holds it shared, weight updates exclusive. Nested inside mu_
+/// on the restore-commit path, never the other way around.
 inline constexpr int kServerAgent = 300;
 /// ThreadPool::mu_: the compute pool's task queue. Above the server locks
-/// because training holds agent_mu_ across ParallelFor/RunConcurrent.
+/// because inference and training hold agent_mu_ across
+/// ParallelFor/RunConcurrent.
 inline constexpr int kThreadPool = 800;
 /// BlockingCounter::mu_: fork/join countdown, waited on after submitting.
 inline constexpr int kBlockingCounter = 810;
@@ -51,31 +57,64 @@ inline constexpr int kLeaf = 900;
 inline constexpr int kLogSink = 1000;
 }  // namespace lock_rank
 
+namespace internal {
+
+/// Rank and name of a util::Mutex or util::SharedMutex, plus the debug-mode
+/// checks both feed. The two kinds share one per-thread held-lock list, so
+/// the rank order spans them: a shared acquire is checked exactly like an
+/// exclusive one (a re-entrant shared acquire blocks forever once a writer
+/// queues between the two, so it dies too).
+class RankedLock {
+ public:
+  RankedLock(const RankedLock&) = delete;
+  RankedLock& operator=(const RankedLock&) = delete;
+
+  int rank() const { return rank_; }
+  const char* name() const { return name_; }
+
+ protected:
+  RankedLock(int rank, const char* name) : rank_(rank), name_(name) {}
+  ~RankedLock() = default;
+
+  // The detector's hooks (mutex.cc). Without CDBTUNE_DCHECK they are empty
+  // inline bodies, so a release build locks exactly like the std types.
+#if CDBTUNE_DCHECK_ENABLED
+  void DebugCheckAcquire() const;
+  void DebugNoteAcquired() const;
+  void DebugNoteReleased() const;
+  void DebugAssertHeld() const;
+  void DebugCheckWaitPrecondition() const;
+#else
+  void DebugCheckAcquire() const {}
+  void DebugNoteAcquired() const {}
+  void DebugNoteReleased() const {}
+  void DebugAssertHeld() const {}
+  void DebugCheckWaitPrecondition() const {}
+#endif
+
+ private:
+  const int rank_;
+  const char* const name_;
+};
+
+}  // namespace internal
+
 /// Annotated std::mutex wrapper with a debug-mode lock-rank deadlock
 /// detector. Non-recursive; not copyable or movable (guarded members name
 /// their mutex in annotations, so its address is part of the protocol).
-class CDBTUNE_CAPABILITY("mutex") Mutex {
+class CDBTUNE_CAPABILITY("mutex") Mutex : public internal::RankedLock {
  public:
   explicit Mutex(int rank = lock_rank::kLeaf, const char* name = "Mutex")
-      : rank_(rank), name_(name) {}
-
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
+      : RankedLock(rank, name) {}
 
   void Lock() CDBTUNE_ACQUIRE() {
-#if CDBTUNE_DCHECK_ENABLED
     DebugCheckAcquire();
-#endif
     mu_.lock();
-#if CDBTUNE_DCHECK_ENABLED
     DebugNoteAcquired();
-#endif
   }
 
   void Unlock() CDBTUNE_RELEASE() {
-#if CDBTUNE_DCHECK_ENABLED
     DebugNoteReleased();
-#endif
     mu_.unlock();
   }
 
@@ -83,41 +122,22 @@ class CDBTUNE_CAPABILITY("mutex") Mutex {
   /// order — a trylock cannot deadlock by itself, but an out-of-order one
   /// means the caller's mental model of the hierarchy is wrong.
   bool TryLock() CDBTUNE_TRY_ACQUIRE(true) {
-#if CDBTUNE_DCHECK_ENABLED
     DebugCheckAcquire();
-#endif
     if (!mu_.try_lock()) return false;
-#if CDBTUNE_DCHECK_ENABLED
     DebugNoteAcquired();
-#endif
     return true;
   }
 
   /// Dies in debug builds unless the calling thread holds this mutex; tells
   /// the static analysis to treat it as held from here on.
   void AssertHeld() const CDBTUNE_ASSERT_CAPABILITY(this) {
-#if CDBTUNE_DCHECK_ENABLED
     DebugAssertHeld();
-#endif
   }
-
-  int rank() const { return rank_; }
-  const char* name() const { return name_; }
 
  private:
   friend class CondVar;
 
-#if CDBTUNE_DCHECK_ENABLED
-  void DebugCheckAcquire() const;
-  void DebugNoteAcquired() const;
-  void DebugNoteReleased() const;
-  void DebugAssertHeld() const;
-  void DebugCheckWaitPrecondition() const;
-#endif
-
   std::mutex mu_;
-  const int rank_;
-  const char* const name_;
 };
 
 /// RAII lock for util::Mutex — the only way the repo takes a lock outside
@@ -132,6 +152,74 @@ class CDBTUNE_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
+};
+
+/// Annotated reader/writer lock: any number of readers or one writer, under
+/// the same rank discipline as Mutex. Writer-preferring: once a writer
+/// waits, new readers queue behind it, so a steady stream of overlapping
+/// readers cannot starve a weight update (std::shared_mutex is glibc's
+/// reader-preferring rwlock, which can). Not recursive in either mode, and
+/// no upgrade — a reader that needs to write releases and re-acquires.
+class CDBTUNE_CAPABILITY("mutex") SharedMutex : public internal::RankedLock {
+ public:
+  explicit SharedMutex(int rank = lock_rank::kLeaf,
+                       const char* name = "SharedMutex");
+  ~SharedMutex();
+
+  void Lock() CDBTUNE_ACQUIRE() {
+    DebugCheckAcquire();
+    CDBTUNE_CHECK(pthread_rwlock_wrlock(&mu_) == 0);
+    DebugNoteAcquired();
+  }
+
+  void Unlock() CDBTUNE_RELEASE() {
+    DebugNoteReleased();
+    pthread_rwlock_unlock(&mu_);
+  }
+
+  void LockShared() CDBTUNE_ACQUIRE_SHARED() {
+    DebugCheckAcquire();
+    CDBTUNE_CHECK(pthread_rwlock_rdlock(&mu_) == 0);
+    DebugNoteAcquired();
+  }
+
+  void UnlockShared() CDBTUNE_RELEASE_SHARED() {
+    DebugNoteReleased();
+    pthread_rwlock_unlock(&mu_);
+  }
+
+ private:
+  pthread_rwlock_t mu_;
+};
+
+/// RAII exclusive lock for util::SharedMutex.
+class CDBTUNE_SCOPED_CAPABILITY WriterLock {
+ public:
+  explicit WriterLock(SharedMutex& mu) CDBTUNE_ACQUIRE(mu) : mu_(&mu) {
+    mu_->Lock();
+  }
+  ~WriterLock() CDBTUNE_RELEASE() { mu_->Unlock(); }
+
+  WriterLock(const WriterLock&) = delete;
+  WriterLock& operator=(const WriterLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
+};
+
+/// RAII shared lock for util::SharedMutex.
+class CDBTUNE_SCOPED_CAPABILITY ReaderLock {
+ public:
+  explicit ReaderLock(SharedMutex& mu) CDBTUNE_ACQUIRE_SHARED(mu) : mu_(&mu) {
+    mu_->LockShared();
+  }
+  ~ReaderLock() CDBTUNE_RELEASE() { mu_->UnlockShared(); }
+
+  ReaderLock(const ReaderLock&) = delete;
+  ReaderLock& operator=(const ReaderLock&) = delete;
+
+ private:
+  SharedMutex* const mu_;
 };
 
 /// Condition variable bound to util::Mutex. There is deliberately no

@@ -11,8 +11,9 @@
 /// nothing, so the annotations cost nothing off the clang gate (the CI
 /// `thread-safety` job is the enforcing build).
 ///
-/// The macros wrap the util::Mutex / util::MutexLock / util::CondVar types
-/// in util/mutex.h — annotate with those, not raw std::mutex (the lint
+/// The macros wrap the util::Mutex / util::MutexLock / util::CondVar and
+/// util::SharedMutex / util::ReaderLock / util::WriterLock types in
+/// util/mutex.h — annotate with those, not raw std::mutex (the lint
 /// `raw-mutex` rule rejects raw standard-library synchronization in src/).
 
 #if defined(__clang__)
@@ -54,6 +55,15 @@
   CDBTUNE_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 #define CDBTUNE_TRY_ACQUIRE(...) \
   CDBTUNE_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
+
+/// Shared (reader) twins of ACQUIRE / RELEASE for util::SharedMutex: a
+/// shared hold permits reads of the guarded members, and only an exclusive
+/// one permits writes. Scoped lock destructors use plain RELEASE, which
+/// releases either kind.
+#define CDBTUNE_ACQUIRE_SHARED(...) \
+  CDBTUNE_THREAD_ANNOTATION_(acquire_shared_capability(__VA_ARGS__))
+#define CDBTUNE_RELEASE_SHARED(...) \
+  CDBTUNE_THREAD_ANNOTATION_(release_shared_capability(__VA_ARGS__))
 
 /// Function contract: the caller must NOT hold the listed capabilities
 /// (the function acquires them internally — calling with one held would

@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/layer.h"
@@ -446,6 +449,185 @@ TEST(TrainingTest, LearnsXorWithHiddenLayer) {
   EXPECT_GT(pred.at(1, 0), 0.8);
   EXPECT_GT(pred.at(2, 0), 0.8);
   EXPECT_LT(pred.at(3, 0), 0.2);
+}
+
+// --- Infer: the const, cache-free eval forward -------------------------------
+
+void ExpectBitwiseEqual(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
+}
+
+/// Every parameter's gradient of `a` equals `b`'s bit for bit.
+void ExpectSameGrads(Sequential& a, Sequential& b) {
+  std::vector<Parameter*> pa = a.Params();
+  std::vector<Parameter*> pb = b.Params();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (size_t i = 0; i < pa.size(); ++i) {
+    SCOPED_TRACE("param " + std::to_string(i) + " " + pa[i]->name);
+    ExpectBitwiseEqual(pa[i]->grad, pb[i]->grad);
+  }
+}
+
+/// Paper Table 5 actor (63 -> #Knobs = 266) on its own Rng.
+Sequential Table5Actor(util::Rng& rng) {
+  Sequential net;
+  net.Add(std::make_unique<Linear>(63, 128, rng));
+  net.Add(std::make_unique<LeakyRelu>(0.2));
+  net.Add(std::make_unique<BatchNorm>(128));
+  net.Add(std::make_unique<Linear>(128, 128, rng));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Dropout>(0.3, rng));
+  net.Add(std::make_unique<Linear>(128, 128, rng));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Linear>(128, 64, rng));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Linear>(64, 266, rng));
+  net.Add(std::make_unique<Sigmoid>());
+  return net;
+}
+
+/// Paper Table 5 critic over [63 state | 266 action] columns.
+Sequential Table5Critic(util::Rng& rng) {
+  Sequential net;
+  net.Add(std::make_unique<ParallelLinear>(63, 128, 266, 128, rng,
+                                           InitScheme::kGaussian001));
+  net.Add(std::make_unique<Linear>(256, 256, rng, InitScheme::kGaussian001));
+  net.Add(std::make_unique<LeakyRelu>(0.2));
+  net.Add(std::make_unique<BatchNorm>(256));
+  net.Add(std::make_unique<Dropout>(0.3, rng));
+  net.Add(std::make_unique<Linear>(256, 64, rng, InitScheme::kGaussian001));
+  net.Add(std::make_unique<Tanh>());
+  net.Add(std::make_unique<Linear>(64, 1, rng, InitScheme::kGaussian001));
+  return net;
+}
+
+/// A few training-mode forwards so BatchNorm's running statistics are far
+/// from their (0, 1) initial values.
+void TrainRunningStats(Sequential& net, size_t in, util::Rng& rng) {
+  for (int i = 0; i < 5; ++i) {
+    net.Forward(Matrix::RandomGaussian(32, in, 0.7, 1.3, rng), true);
+  }
+}
+
+TEST(InferTest, EqualsEvalForwardForEveryLayerType) {
+  util::Rng rng(41);
+  auto batch_norm = std::make_unique<BatchNorm>(5);
+  for (int i = 0; i < 4; ++i) {
+    batch_norm->Forward(Matrix::RandomGaussian(16, 5, 2.0, 3.0, rng), true);
+  }
+  ASSERT_NE(batch_norm->running_mean().at(0, 0), 0.0);
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Linear>(5, 5, rng));
+  layers.push_back(std::make_unique<Relu>());
+  layers.push_back(std::make_unique<LeakyRelu>(0.2));
+  layers.push_back(std::make_unique<Tanh>());
+  layers.push_back(std::make_unique<Sigmoid>());
+  layers.push_back(std::move(batch_norm));
+  layers.push_back(std::make_unique<ParallelLinear>(2, 3, 3, 2, rng));
+  layers.push_back(std::make_unique<Dropout>(0.3, rng));
+  for (size_t rows : {size_t{1}, size_t{7}}) {
+    Matrix x = Matrix::RandomGaussian(rows, 5, 0.0, 2.0, rng);
+    for (auto& layer : layers) {
+      SCOPED_TRACE(layer->Name() + " rows=" + std::to_string(rows));
+      const Layer& frozen = *layer;
+      Matrix inferred = frozen.Infer(x);
+      ExpectBitwiseEqual(inferred, layer->Forward(x, /*training=*/false));
+    }
+  }
+}
+
+TEST(InferTest, EqualsEvalForwardForTable5Networks) {
+  util::Rng rng(42);
+  Sequential actor = Table5Actor(rng);
+  Sequential critic = Table5Critic(rng);
+  TrainRunningStats(actor, 63, rng);
+  TrainRunningStats(critic, 63 + 266, rng);
+  for (size_t rows : {size_t{1}, size_t{64}}) {
+    SCOPED_TRACE("rows=" + std::to_string(rows));
+    Matrix states = Matrix::RandomGaussian(rows, 63, 0.0, 1.0, rng);
+    ExpectBitwiseEqual(actor.Infer(states), actor.Forward(states, false));
+    Matrix actions = Matrix::RandomUniform(rows, 266, 0.0, 1.0, rng);
+    Matrix input = states.ConcatCols(actions);
+    ExpectBitwiseEqual(critic.Infer(input), critic.Forward(input, false));
+  }
+}
+
+TEST(InferTest, InterleavedInferLeavesBackwardCachesUntouched) {
+  // Two identical actors (same seeds, so dropout draws the same masks): one
+  // runs Forward -> Backward, the other Forward -> Infer -> Backward. An
+  // Infer that touched a cache would change the second one's gradients.
+  util::Rng rng_a(43), rng_b(43), data(44);
+  Sequential a = Table5Actor(rng_a);
+  Sequential b = Table5Actor(rng_b);
+  TrainRunningStats(a, 63, rng_a);
+  TrainRunningStats(b, 63, rng_b);
+  Matrix x = Matrix::RandomGaussian(32, 63, 0.0, 1.0, data);
+  Matrix probe = Matrix::RandomGaussian(5, 63, 1.0, 2.0, data);
+  Matrix g = Matrix::RandomGaussian(32, 266, 0.0, 1.0, data);
+  for (bool training : {true, false}) {
+    SCOPED_TRACE(training ? "training forward" : "eval forward");
+    a.ZeroGrad();
+    b.ZeroGrad();
+    a.Forward(x, training);
+    b.Forward(x, training);
+    b.Infer(probe);
+    ExpectBitwiseEqual(a.Backward(g), b.Backward(g));
+    ExpectSameGrads(a, b);
+  }
+}
+
+TEST(BackwardTest, TrimmedInputGradientIsBitwiseTheFullOnesTail) {
+  // Sequential::Backward(g, param_grads, first_input_col) must accumulate
+  // the same parameter gradients and return exactly the trailing columns of
+  // the full input gradient, whether the first layer is a Linear (actor) or
+  // a ParallelLinear (critic), for every cut a layer accepts: none, all, and
+  // the critic's state/action split.
+  util::Rng data(45);
+  struct Case {
+    bool critic;
+    size_t first_col;
+  };
+  const Case cases[] = {{false, 0}, {false, kNoInputGrad}, {true, 0},
+                        {true, 63}, {true, kNoInputGrad}};
+  for (const Case& c : cases) {
+    for (bool param_grads : {true, false}) {
+      SCOPED_TRACE(std::string(c.critic ? "critic" : "actor") + " from " +
+                   std::to_string(c.first_col) +
+                   (param_grads ? " +params" : " input-only"));
+      util::Rng rng_a(46), rng_b(46);
+      Sequential a = c.critic ? Table5Critic(rng_a) : Table5Actor(rng_a);
+      Sequential b = c.critic ? Table5Critic(rng_b) : Table5Actor(rng_b);
+      const size_t in = c.critic ? 63 + 266 : 63;
+      const size_t out = c.critic ? 1 : 266;
+      Matrix x = Matrix::RandomGaussian(32, in, 0.0, 1.0, data);
+      Matrix g = Matrix::RandomGaussian(32, out, 0.0, 1.0, data);
+      a.ZeroGrad();
+      b.ZeroGrad();
+      a.Forward(x, true);
+      b.Forward(x, true);
+      Matrix full = a.Backward(g, param_grads);
+      Matrix trimmed = b.Backward(g, param_grads, c.first_col);
+      Matrix head, tail;
+      full.SplitCols(std::min(c.first_col, in), &head, &tail);
+      ExpectBitwiseEqual(trimmed, tail);
+      ExpectSameGrads(a, b);
+    }
+  }
+}
+
+TEST(BackwardDeathTest, TrimAtAColumnNoLayerSplitsAtDies) {
+  // The child re-executes the binary: a forked one would find no compute
+  // pool threads behind the backward's GEMMs.
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  util::Rng rng(46);
+  Sequential critic = Table5Critic(rng);
+  Matrix x = Matrix::RandomGaussian(4, 63 + 266, 0.0, 1.0, rng);
+  critic.Forward(x, true);
+  Matrix g(4, 1, 1.0);
+  EXPECT_DEATH(critic.Backward(g, /*param_grads=*/true, 20),
+               "ParallelLinear cannot trim its input gradient at column 20");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <map>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -336,6 +337,70 @@ TEST(DdpgTest, CloneWeightsMatchesPolicy) {
   EXPECT_EQ(a.SelectAction(state, false), b.SelectAction(state, false));
   EXPECT_NEAR(a.EstimateQ(state, {0.5, 0.5, 0.5}),
               b.EstimateQ(state, {0.5, 0.5, 0.5}), 1e-12);
+}
+
+TEST(DdpgTest, ConcurrentConstSelectActionMatchesSerial) {
+  // SelectAction(state, noise) is const and cache-free: four threads sharing
+  // one agent (each with its own noise stream, as the tuning server's
+  // sessions do) must get exactly the actions of the same calls made one at
+  // a time. Paper-sized networks, with BatchNorm statistics moved off their
+  // initial values by a few training steps.
+  util::ComputeContext::Get().SetThreads(4);
+  DdpgOptions options;
+  options.seed = 17;
+  DdpgAgent agent(options);
+  util::Rng data(18);
+  auto random_vector = [&data](size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = data.Gaussian(0.0, 1.0);
+    return v;
+  };
+  for (int i = 0; i < 40; ++i) {
+    Transition t;
+    t.state = random_vector(options.state_dim);
+    t.action.assign(options.action_dim, 0.25 + 0.01 * i);
+    t.reward = data.Gaussian(0.0, 1.0);
+    t.next_state = random_vector(options.state_dim);
+    agent.Observe(std::move(t));
+  }
+  for (int i = 0; i < 3; ++i) agent.TrainStep();
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 12;
+  std::vector<std::vector<double>> states;
+  for (int i = 0; i < kThreads * kCalls; ++i) {
+    states.push_back(random_vector(options.state_dim));
+  }
+  const std::vector<double> probe_action(options.action_dim, 0.5);
+  const DdpgAgent& shared = agent;
+  // Thread t's calls: greedy on even i, exploring (own OU stream) on odd.
+  auto run = [&](int t, std::vector<std::vector<double>>* actions,
+                 std::vector<double>* q) {
+    OrnsteinUhlenbeckNoise noise(options.action_dim, options.noise_theta,
+                                 options.noise_sigma, util::Rng(100 + t));
+    for (int i = 0; i < kCalls; ++i) {
+      const std::vector<double>& state = states[t * kCalls + i];
+      actions->push_back(
+          shared.SelectAction(state, i % 2 == 1 ? &noise : nullptr));
+      q->push_back(shared.EstimateQ(state, probe_action));
+    }
+  };
+  std::vector<std::vector<std::vector<double>>> serial(kThreads);
+  std::vector<std::vector<double>> serial_q(kThreads);
+  for (int t = 0; t < kThreads; ++t) run(t, &serial[t], &serial_q[t]);
+
+  std::vector<std::vector<std::vector<double>>> parallel(kThreads);
+  std::vector<std::vector<double>> parallel_q(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(run, t, &parallel[t], &parallel_q[t]);
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(parallel[t], serial[t]) << "thread " << t;
+    EXPECT_EQ(parallel_q[t], serial_q[t]) << "thread " << t;
+  }
+  util::ComputeContext::Get().SetThreads(0);
 }
 
 // --- DQN -----------------------------------------------------------------------

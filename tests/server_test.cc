@@ -1,7 +1,10 @@
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -230,6 +233,109 @@ TEST(TuningServerTest, EightConcurrentSessionsMatchSoloRuns) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameResult(*result, solo[i]);
   }
+  util::ComputeContext::Get().SetThreads(0);
+}
+
+TEST(TuningServerTest, ConcurrentStepsFromFourThreadsMatchSoloRuns) {
+  // Direct STEPs (no round barrier) from four threads, two sessions each,
+  // while a fifth thread keeps asking for Recommend: every session's policy
+  // forward holds the model lock shared and runs alongside the others, and
+  // each trajectory must still equal its solo run bit for bit.
+  auto specs = TestSpecs(8);
+  auto solo = RunEachSolo(specs);
+
+  util::ComputeContext::Get().SetThreads(4);
+  TuningServer server;
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  std::vector<int> ids;
+  for (const SessionSpec& spec : specs) {
+    auto id = server.Open(spec);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  const std::vector<double> probe(
+      SharedTrainedTuner().agent().options().state_dim, 0.1);
+  auto expected_recommendation = server.Recommend(probe);
+  ASSERT_TRUE(expected_recommendation.ok());
+
+  std::atomic<int> steppers_left{4};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      // Interleave this thread's two sessions step by step.
+      bool open[2] = {true, true};
+      while (open[0] || open[1]) {
+        for (size_t k = 0; k < 2; ++k) {
+          if (!open[k]) continue;
+          const int id = ids[t + 4 * k];
+          auto record = server.Step(id);
+          EXPECT_TRUE(record.ok()) << record.status().ToString();
+          auto status = server.GetStatus(id);
+          open[k] = record.ok() && status.ok() &&
+                    status->phase == tuner::SessionPhase::kTuning;
+        }
+      }
+      steppers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (steppers_left.load() > 0) {
+      auto recommendation = server.Recommend(probe);
+      ASSERT_TRUE(recommendation.ok());
+      EXPECT_EQ(*recommendation, *expected_recommendation);
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto result = server.Close(ids[i]);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameResult(*result, solo[i]);
+  }
+  util::ComputeContext::Get().SetThreads(0);
+}
+
+TEST(TuningServerTest, OverlappingRecommendsDoNotStarveTraining) {
+  // Recommend holds the model lock shared and is not fenced by the round
+  // barrier, so six threads calling it back to back (some preempted while
+  // holding it) keep the lock held shared without a gap. Training rounds and
+  // TRAIN take it exclusive and must still get through promptly; behind a
+  // reader-preferring lock they wait until the readers stop.
+  util::ComputeContext::Get().SetThreads(4);
+  TuningServerOptions options;
+  options.train_iters_per_round = 2;
+  TuningServer server(options);
+  ASSERT_TRUE(server.AdoptModel(SharedTrainedTuner()).ok());
+  for (const SessionSpec& spec : TestSpecs(2)) {
+    ASSERT_TRUE(server.Open(spec).ok());
+  }
+  const std::vector<double> probe(
+      SharedTrainedTuner().agent().options().state_dim, 0.1);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 6; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load()) EXPECT_TRUE(server.Recommend(probe).ok());
+    });
+  }
+  std::atomic<bool> trained{false};
+  std::thread trainer([&] {
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_TRUE(server.StepRound().ok());
+    }
+    EXPECT_TRUE(server.Train(2).ok());
+    trained.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!trained.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  const bool trained_in_time = trained.load();
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+  trainer.join();
+  EXPECT_TRUE(trained_in_time) << "training starved by Recommend readers";
   util::ComputeContext::Get().SetThreads(0);
 }
 
