@@ -90,7 +90,6 @@ class Matrix {
   Matrix& SubInPlace(const Matrix& other);
   Matrix& MulInPlace(const Matrix& other);  // Hadamard product.
   Matrix& Scale(double factor);
-  Matrix& AddScalar(double value);
 
   /// Adds a 1 x cols row (bias broadcast) to every row.
   Matrix& AddRowBroadcast(const Matrix& row);

@@ -320,8 +320,6 @@ void DdpgAgent::DecayNoise() {
   }
 }
 
-void DdpgAgent::ResetNoise() { noise_.Reset(); }
-
 double DdpgAgent::EstimateQ(const std::vector<double>& state,
                             const std::vector<double>& action) const {
   Matrix q = critic_.Infer(

@@ -115,7 +115,6 @@ class DdpgAgent {
 
   /// Anneals exploration; call once per environment step.
   void DecayNoise();
-  void ResetNoise();
 
   size_t replay_size() const { return replay_->size(); }
   const DdpgOptions& options() const { return options_; }

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "env/instance.h"
+#include "server/net/tcp_server.h"
 #include "server/protocol.h"
 #include "tuner/tuning_session.h"
 
@@ -144,9 +145,8 @@ std::string HandleTrain(TuningServer& server, const Command& command) {
   return FormatOk({{"trained", std::to_string(*n)}});
 }
 
-std::string HandleStatus(
-    TuningServer& server, const Command& command,
-    const std::vector<const TransportStatsSource*>& transports) {
+std::string HandleStatus(TuningServer& server, const Command& command,
+                         const net::TcpServer* tcp) {
   if (command.args.count("id") > 0) {
     auto id = GetInt(command, "id");
     if (!id.ok()) return FormatError(id.status());
@@ -160,22 +160,21 @@ std::string HandleStatus(
   KeyValues pairs;
   pairs.emplace_back("sessions", std::to_string(all.size()));
   for (const SessionStatus& status : all) {
-    pairs.emplace_back("s" + std::to_string(status.id),
+    std::string key = "s";
+    key += std::to_string(status.id);
+    pairs.emplace_back(std::move(key),
                        std::string(tuner::SessionPhaseName(status.phase)) +
                            ":" + std::to_string(status.steps_done));
   }
-  // Per-transport connection/back-pressure telemetry: one key block per
-  // registered front end.
-  for (const TransportStatsSource* source : transports) {
-    const TransportStats stats = source->Scrape();
-    const std::string& t = stats.name;
-    pairs.emplace_back(t + "_conns", std::to_string(stats.connections));
-    pairs.emplace_back(t + "_accepted", std::to_string(stats.accepted));
-    pairs.emplace_back(t + "_shed", std::to_string(stats.shed_busy));
-    pairs.emplace_back(t + "_paused", std::to_string(stats.read_pauses));
-    pairs.emplace_back(t + "_sendq_drops", std::to_string(stats.sendq_drops));
-    pairs.emplace_back(t + "_frames_in", std::to_string(stats.frames_in));
-    pairs.emplace_back(t + "_frames_out", std::to_string(stats.frames_out));
+  if (tcp != nullptr) {
+    const TransportStats stats = tcp->Scrape();
+    pairs.emplace_back("tcp_conns", std::to_string(stats.connections));
+    pairs.emplace_back("tcp_accepted", std::to_string(stats.accepted));
+    pairs.emplace_back("tcp_shed", std::to_string(stats.shed_busy));
+    pairs.emplace_back("tcp_paused", std::to_string(stats.read_pauses));
+    pairs.emplace_back("tcp_sendq_drops", std::to_string(stats.sendq_drops));
+    pairs.emplace_back("tcp_frames_in", std::to_string(stats.frames_in));
+    pairs.emplace_back("tcp_frames_out", std::to_string(stats.frames_out));
   }
   return FormatOk(pairs);
 }
@@ -309,7 +308,7 @@ DispatchResult Dispatcher::Dispatch(const std::string& request) const {
   } else if (command.verb == "TRAIN") {
     result.response = HandleTrain(server, command);
   } else if (command.verb == "STATUS") {
-    result.response = HandleStatus(server, command, transports_);
+    result.response = HandleStatus(server, command, tcp_);
   } else if (command.verb == "BEST_CONFIG") {
     result.response = HandleBestConfig(server, command);
   } else if (command.verb == "CLOSE") {

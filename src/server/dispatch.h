@@ -3,18 +3,18 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "server/tuning_server.h"
 
 namespace cdbtune::server {
 
-/// Point-in-time telemetry of one transport front end, scraped by the STATUS
-/// verb so an operator can see the transport's connection and back-pressure
-/// state.
+namespace net {
+class TcpServer;
+}  // namespace net
+
+/// Point-in-time telemetry of the TCP front end, scraped by the STATUS verb
+/// so an operator can see its connection and back-pressure state.
 struct TransportStats {
-  /// Key prefix in the STATUS response ("tcp").
-  std::string name;
   /// Connections currently open (accepted and not yet closed).
   size_t connections = 0;
   /// Total connections accepted since start.
@@ -22,8 +22,8 @@ struct TransportStats {
   /// Requests (or whole connections) turned away with the typed BUSY shed
   /// path — dispatch queue full or the connection budget exhausted.
   uint64_t shed_busy = 0;
-  /// Read-pause transitions: how often back-pressure paused a connection's
-  /// reads (in-flight request or output backlog above the watermark).
+  /// Read-pause transitions: how often a connection's reads paused behind
+  /// its in-flight request.
   uint64_t read_pauses = 0;
   /// Connections dropped for overflowing their bounded send queue (the
   /// slow-consumer / slow-loris shed path).
@@ -31,15 +31,6 @@ struct TransportStats {
   /// Frames decoded from / encoded to the wire.
   uint64_t frames_in = 0;
   uint64_t frames_out = 0;
-};
-
-/// Implemented by every transport front end; registered on the Dispatcher
-/// so STATUS can scrape live telemetry. Scrape() must be safe to call from
-/// any thread (front ends serve it from under their own lock).
-class TransportStatsSource {
- public:
-  virtual ~TransportStatsSource() = default;
-  virtual TransportStats Scrape() const = 0;
 };
 
 /// Outcome of one dispatched request: the response payload (the "OK ..." /
@@ -56,7 +47,7 @@ struct DispatchResult {
 /// decoded request payloads here, and in-process callers use it directly,
 /// so the verb set, argument grammar, and server semantics exist exactly
 /// once. Thread-safe for concurrent Dispatch once serving starts;
-/// RegisterTransport is wiring-time only (before any front end Start()).
+/// RegisterTransport is wiring-time only (before the front end's Start()).
 ///
 /// Verbs:
 ///   PING
@@ -66,8 +57,8 @@ struct DispatchResult {
 ///   ROUND  [n=K]                — K concurrent all-session rounds
 ///   TRAIN  n=K                  — merge experiences + K gradient steps
 ///   STATUS [id=N]               — one session, or a summary of all plus
-///                                 the transport's connection/back-pressure
-///                                 telemetry (see TransportStats)
+///                                 the TCP front end's connection and
+///                                 back-pressure telemetry (TransportStats)
 ///   BEST_CONFIG id=N            — knobs differing from the engine default
 ///   CLOSE  id=N                 — finish session, deploy best config
 ///   SAVE   path=P               — atomic full-state checkpoint at P
@@ -85,11 +76,9 @@ class Dispatcher {
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
 
-  /// Registers a front end for STATUS telemetry. Call before serving
-  /// starts (the vector is read without a lock afterwards).
-  void RegisterTransport(const TransportStatsSource* source) {
-    transports_.push_back(source);
-  }
+  /// Sets the front end whose telemetry STATUS reports. Call before serving
+  /// starts (the pointer is read without a lock afterwards).
+  void RegisterTransport(const net::TcpServer* tcp) { tcp_ = tcp; }
 
   /// Executes one request payload and returns the response + shutdown flag.
   DispatchResult Dispatch(const std::string& request) const;
@@ -98,7 +87,7 @@ class Dispatcher {
 
  private:
   TuningServer* server_;  // Not owned.
-  std::vector<const TransportStatsSource*> transports_;  // Not owned.
+  const net::TcpServer* tcp_ = nullptr;  // Not owned; null until set.
 };
 
 }  // namespace cdbtune::server

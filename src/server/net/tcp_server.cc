@@ -18,11 +18,6 @@ namespace cdbtune::server::net {
 
 namespace {
 
-/// Pipelined-request cap per connection: a burst beyond this stays in the
-/// kernel's receive buffer (reads pause), so per-connection memory is
-/// bounded no matter how fast the client writes.
-constexpr size_t kMaxPipelined = 32;
-
 util::Status Errno(const std::string& what) {
   return util::Status::Internal(what + ": " + std::strerror(errno));
 }
@@ -138,96 +133,59 @@ void TcpServer::HandleConn(uint64_t id, uint32_t ready) {
   if (ready & Ready::kWrite) {
     if (!FlushWrites(conn)) return;
   }
-  if (ready & Ready::kRead) {
-    if (!ReadFrames(conn)) return;
-  }
+  if (ready & Ready::kRead) ReadFrames(conn);
 }
 
-bool TcpServer::ReadFrames(Conn* conn) {
+void TcpServer::ReadFrames(Conn* conn) {
+  // One recv() per read event: reads are on only while nothing is in
+  // flight, so the decoder never holds more than one partial frame plus
+  // this chunk. Level-triggered epoll reports whatever the kernel still
+  // holds once reads resume.
   char chunk[16384];
-  while (conn->pending.size() < kMaxPipelined) {
-    ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConn(conn);
-      return false;
-    }
-    if (n == 0) {  // Peer closed its half; nothing more will arrive.
-      CloseConn(conn);
-      return false;
-    }
-    conn->decoder.Feed(chunk, static_cast<size_t>(n));
-    if (!DrainDecoder(conn)) return false;
+  ssize_t n;
+  do {
+    n = ::recv(conn->fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+  if (n <= 0) {  // Socket error, or the peer closed its half.
+    CloseConn(conn);
+    return;
   }
-  return PumpDispatch(conn);
+  conn->decoder.Feed(chunk, static_cast<size_t>(n));
+  PumpDispatch(conn);
 }
 
-bool TcpServer::DrainDecoder(Conn* conn) {
-  uint64_t decoded = 0;
-  util::Status poison = util::Status::Ok();
-  while (conn->pending.size() < kMaxPipelined) {
+void TcpServer::PumpDispatch(Conn* conn) {
+  while (!conn->in_flight) {
     Frame frame;
     auto got = conn->decoder.Next(&frame);
-    if (!got.ok()) {
-      poison = got.status();
-      break;
-    }
-    if (!*got) break;  // Need more bytes.
-    if (frame.type != FrameType::kRequest) {
+    if (got.ok() && !*got) break;  // Need more bytes.
+    util::Status poison = got.status();
+    if (poison.ok() && frame.type != FrameType::kRequest) {
       poison = util::Status::InvalidArgument(
           std::string("unexpected client frame type ") +
           FrameTypeName(frame.type));
-      break;
     }
-    ++decoded;
-    conn->pending.push_back(std::move(frame.payload));
-  }
-  if (decoded > 0) {
-    util::MutexLock lock(mu_);
-    frames_in_ += decoded;
-  }
-  if (poison.ok()) return true;
-  // Unsynchronized stream: report once, drop everything not yet dispatched,
-  // flush, close. QueueFrame may itself drop the connection (send queue
-  // full) — either way this connection takes no further input.
-  conn->pending.clear();
-  if (!QueueFrame(conn, FrameType::kError, poison.message())) return false;
-  conn->close_after_flush = true;
-  if (!FlushWrites(conn)) return false;
-  UpdateInterest(conn);
-  return false;
-}
-
-bool TcpServer::PumpDispatch(Conn* conn) {
-  while (!conn->in_flight) {
-    if (conn->pending.empty()) {
-      // A pipelined burst beyond the cap parked frames in the decoder; no
-      // read event will ever deliver them (the kernel side is drained), so
-      // decode the leftovers now that pending has room again.
-      if (conn->decoder.pending_bytes() < kFrameHeaderBytes) break;
-      if (!DrainDecoder(conn)) return false;
-      if (conn->pending.empty()) break;
+    if (!poison.ok()) {
+      // Unsynchronized stream: every frame before it was answered; report
+      // once, flush, close. QueueFrame may itself drop the connection
+      // (send queue full) — either way it takes no further input.
+      conn->close_after_flush = true;
+      (void)QueueFrame(conn, FrameType::kError, poison.message());
+      return;
     }
-    std::string request = std::move(conn->pending.front());
-    conn->pending.pop_front();
-    if (TryEnqueueWork(conn->id, std::move(request))) {
+    if (TryEnqueueWork(conn->id, std::move(frame.payload))) {
       conn->in_flight = true;
-    } else {
-      // Dispatch queue full: shed this request with a typed BUSY frame
-      // (the request was NOT executed) and keep the connection.
-      {
-        util::MutexLock lock(mu_);
-        ++shed_busy_;
-      }
-      if (!QueueFrame(conn, FrameType::kBusy,
-                      "dispatch queue full; retry later")) {
-        return false;
-      }
+      continue;
+    }
+    // Dispatch queue full: shed this request with a typed BUSY frame (the
+    // request was NOT executed) and keep the connection.
+    if (!QueueFrame(conn, FrameType::kBusy,
+                    "dispatch queue full; retry later")) {
+      return;
     }
   }
   UpdateInterest(conn);
-  return true;
 }
 
 bool TcpServer::QueueFrame(Conn* conn, FrameType type,
@@ -276,13 +234,10 @@ bool TcpServer::FlushWrites(Conn* conn) {
 }
 
 void TcpServer::UpdateInterest(Conn* conn) {
-  // Back-pressure state machine (DESIGN.md §13): reads stay on only while
-  // the connection is fully caught up — no request with a worker, no
-  // decoded-but-undispatched requests, and an output backlog below the
-  // half-cap watermark.
-  const bool want_read = !conn->in_flight && conn->pending.empty() &&
-                         conn->backlog() < options_.sendq_bytes / 2 &&
-                         !conn->close_after_flush;
+  // Back-pressure state machine (DESIGN.md §13): reads pause only while a
+  // request is with a worker. A peer that never drains its replies keeps
+  // producing them and so always ends at the sendq_bytes drop.
+  const bool want_read = !conn->in_flight && !conn->close_after_flush;
   const bool want_write = conn->backlog() > 0;
   if (!want_read && !conn->reads_paused) {
     conn->reads_paused = true;
@@ -315,13 +270,16 @@ void TcpServer::OnDispatchDone(uint64_t conn_id, std::string response) {
   Conn* conn = it->second.get();
   conn->in_flight = false;
   if (!QueueFrame(conn, FrameType::kResponse, response)) return;
-  (void)PumpDispatch(conn);
+  PumpDispatch(conn);
 }
 
 bool TcpServer::TryEnqueueWork(uint64_t conn_id, std::string request) {
   util::MutexLock lock(mu_);
-  if (stopping_) return false;
-  if (work_queue_.size() >= options_.dispatch_queue) return false;
+  ++frames_in_;
+  if (stopping_ || work_queue_.size() >= options_.dispatch_queue) {
+    ++shed_busy_;
+    return false;
+  }
   work_queue_.push_back(WorkItem{conn_id, std::move(request)});
   work_cv_.NotifyOne();
   return true;
@@ -384,7 +342,6 @@ void TcpServer::Stop() {
 TransportStats TcpServer::Scrape() const {
   util::MutexLock lock(mu_);
   TransportStats stats;
-  stats.name = "tcp";
   stats.connections = open_conns_;
   stats.accepted = accepted_;
   stats.shed_busy = shed_busy_;

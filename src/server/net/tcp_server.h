@@ -52,8 +52,8 @@ struct TcpServerOptions {
 /// back-pressure (DESIGN.md §13).
 ///
 /// Ownership model (the "event-loop ownership" rule):
-///   - All per-connection state (decoder, pending requests, send queue,
-///     pause flags) is owned by the loop thread and accessed without locks.
+///   - All per-connection state (decoder, send queue, pause flags) is owned
+///     by the loop thread and accessed without locks.
 ///   - Workers receive (connection id, payload) copies, run the shared
 ///     Dispatcher, and post the response back via EventLoop::QueueTask; the
 ///     completion looks the connection up by id and is dropped silently if
@@ -61,16 +61,21 @@ struct TcpServerOptions {
 ///   - `mu_` (lock_rank::kNetFrontEnd) guards only the dispatch work queue,
 ///     lifecycle flags, and telemetry counters — never connection state.
 ///
+/// Input not yet dispatched lives only in the connection's FrameDecoder: a
+/// frame is decoded when nothing is in flight, and each read event takes
+/// at most one recv() chunk, so a connection buffers at most one partial
+/// frame plus one chunk. Output is bounded by one rule, `sendq_bytes`.
+///
 /// Back-pressure state machine, per connection:
-///   READING --frame accepted for dispatch--> PAUSED (EPOLLIN off)
-///   PAUSED  --response queued, no pending--> READING
+///   READING --frame handed to a worker-----> PAUSED (EPOLLIN off)
+///   PAUSED  --response queued--------------> READING, or PAUSED again if
+///                                            the decoder held the next frame
 ///   any     --dispatch queue full----------> typed BUSY frame (request shed)
 ///   any     --send backlog > sendq_bytes---> connection dropped (counted)
-///   any     --backlog >= sendq_bytes/2-----> PAUSED until writes drain
-class TcpServer : public TransportStatsSource {
+class TcpServer {
  public:
   TcpServer(const Dispatcher* dispatcher, TcpServerOptions options);
-  ~TcpServer() override;
+  ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
   TcpServer& operator=(const TcpServer&) = delete;
@@ -89,7 +94,7 @@ class TcpServer : public TransportStatsSource {
   uint16_t port() const { return bound_port_; }
 
   /// STATUS telemetry scrape; thread-safe.
-  TransportStats Scrape() const override;
+  TransportStats Scrape() const;
 
  private:
   /// Loop-thread-owned connection state; see the ownership model above.
@@ -98,11 +103,10 @@ class TcpServer : public TransportStatsSource {
 
     int fd = -1;
     uint64_t id = 0;
+    /// Every byte received and not yet dispatched.
     FrameDecoder decoder;
-    /// Requests decoded but not yet handed to a worker (FIFO per
-    /// connection: responses keep request order).
-    std::deque<std::string> pending;
-    /// One request is with a worker; reads stay paused until it returns.
+    /// One request is with a worker; reads and decoding stay paused until
+    /// it returns, so responses keep request order.
     bool in_flight = false;
     /// Encoded frames not yet accepted by the kernel; `sendq_offset` bytes
     /// of the head are already written (compact on drain).
@@ -120,16 +124,11 @@ class TcpServer : public TransportStatsSource {
   // means it was closed and erased, and the pointer is dead.
   void HandleAccept(uint32_t ready);
   void HandleConn(uint64_t id, uint32_t ready);
-  bool ReadFrames(Conn* conn);
-  /// Decodes buffered bytes into pending requests (up to the pipelining
-  /// cap). Returns false when the connection must take no further input —
-  /// closed outright, or poisoned by a malformed stream (error frame
-  /// queued, closing after flush). Called from ReadFrames after each
-  /// recv() and from PumpDispatch as pending drains: a burst beyond the
-  /// cap leaves frames in the decoder with no kernel bytes behind them,
-  /// so a read event alone would never finish the burst.
-  bool DrainDecoder(Conn* conn);
-  bool PumpDispatch(Conn* conn);
+  void ReadFrames(Conn* conn);
+  /// Decodes and dispatches buffered frames until one is in flight or the
+  /// decoder needs more bytes. A malformed stream queues one ERROR frame
+  /// and closes the connection once it is flushed.
+  void PumpDispatch(Conn* conn);
   /// Appends one frame; drops the connection (returning false) when the
   /// bounded send queue would overflow.
   bool QueueFrame(Conn* conn, FrameType type, std::string_view payload);
@@ -140,8 +139,9 @@ class TcpServer : public TransportStatsSource {
   void OnDispatchDone(uint64_t conn_id, std::string response);
 
   void WorkerLoop();
-  /// Pushes a request for the workers; false when the dispatch queue is
-  /// at capacity (the caller sheds with BUSY).
+  /// Counts one decoded frame and pushes it for the workers; false (counted
+  /// as a shed) when the dispatch queue is at capacity or the server is
+  /// stopping (the caller answers BUSY).
   bool TryEnqueueWork(uint64_t conn_id, std::string request);
 
   const Dispatcher* dispatcher_;  // Not owned.

@@ -159,14 +159,13 @@ tuner::TuningSessionOptions SessionOptionsFor(
 struct TuningServer::Session {
   Session(TuningServer* server, int id_in, SessionSpec spec_in, size_t shard_in,
           std::unique_ptr<env::DbInterface> db_in,
-          tuner::MetricsCollector collector_in, size_t action_dim,
-          double noise_theta, double noise_sigma)
+          tuner::MetricsCollector collector_in, const rl::DdpgOptions& model)
       : id(id_in),
         spec(std::move(spec_in)),
         shard(shard_in),
         db(std::move(db_in)),
         collector(std::move(collector_in)),
-        noise(action_dim, noise_theta, noise_sigma,
+        noise(model.action_dim, model.noise_theta, model.noise_sigma,
               util::Rng(spec.seed ^ kNoiseSeedSalt)),
         policy(server, &noise),
         sink(&server->shards_, shard) {}
@@ -273,13 +272,9 @@ TuningServer::MakeSession(int id, const SessionSpec& spec, size_t shard,
             ") does not match the model (" +
             std::to_string(model.action_dim) + ")");
   }
-  const double theta =
-      options_.noise_theta >= 0.0 ? options_.noise_theta : model.noise_theta;
-  const double sigma =
-      options_.noise_sigma >= 0.0 ? options_.noise_sigma : model.noise_sigma;
   auto session = std::make_unique<Session>(this, id, spec, shard,
                                            std::move(*db), std::move(collector),
-                                           model.action_dim, theta, sigma);
+                                           model);
   session->tuning = std::make_unique<tuner::TuningSession>(
       session->db.get(), std::move(space), session->spec.workload,
       &session->collector, &session->policy, &session->sink,

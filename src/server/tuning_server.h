@@ -101,13 +101,6 @@ struct TuningServerOptions {
   double latency_coeff = 0.5;
   double reward_clip = 20.0;
   double reward_scale = 0.05;
-  /// Per-session Ornstein-Uhlenbeck exploration around the fine-tuned
-  /// policy. Negative (the default) inherits the adopted model's noise
-  /// parameters; combined with the seed derivation below, a frozen-model
-  /// session then reproduces the classic single-tenant OnlineTune loop
-  /// bitwise for the same seed.
-  double noise_theta = -1.0;
-  double noise_sigma = -1.0;
   /// When non-empty, StepRound writes a full checkpoint to this path every
   /// `autosave_every_rounds` completed rounds (atomically, rotating
   /// `checkpoint_keep` generations). A kill -9 between rounds then loses at

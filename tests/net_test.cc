@@ -375,10 +375,10 @@ TEST(TcpServerTest, StopClosesIdleConnections) {
 }
 
 TEST(TcpServerTest, PipeliningBeyondTheCapStillAnswersEveryRequest) {
-  // Regression for the decoder-stall hazard: a burst larger than the
-  // per-connection pipelining cap arrives in one write, so the tail frames
-  // sit in the decoder buffer with no kernel bytes behind them — the server
-  // must keep answering as dispatch drains, not wait for a read event that
+  // Regression for the decoder-stall hazard: a burst of pipelined requests
+  // arrives in one write, so every frame after the first sits in the
+  // decoder with no kernel bytes behind it — the server must decode the
+  // next one as each response goes out, not wait for a read event that
   // will never come.
   TcpFixture fixture;
   ASSERT_TRUE(fixture.Start().ok());
@@ -449,6 +449,31 @@ TEST(TcpServerTest, MalformedStreamGetsErrorFrameThenClose) {
   fixture.front->Stop();
 }
 
+TEST(TcpServerTest, ValidFramesBeforePoisonAreAnswered) {
+  // A well-formed request and garbage in one write: the request is still
+  // answered, in order, before the ERROR frame that ends the connection.
+  TcpFixture fixture;
+  ASSERT_TRUE(fixture.Start().ok());
+  auto client = ConnectTo(fixture);
+  ASSERT_NE(client, nullptr);
+  BoundReads(*client);
+  ASSERT_TRUE(client
+                  ->SendBytes(EncodeFrame(FrameType::kRequest, "PING") +
+                              "GET / HTTP/1.1\r\n\r\n")
+                  .ok());
+  auto reply = client->ReadFrame();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->type, FrameType::kResponse);
+  EXPECT_EQ(reply->payload, "OK pong=1");
+  auto error = client->ReadFrame();
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error->type, FrameType::kError);
+  EXPECT_NE(error->payload.find("magic"), std::string::npos)
+      << error->payload;
+  EXPECT_FALSE(client->ReadFrame().ok()) << "poisoned connection must close";
+  fixture.front->Stop();
+}
+
 TEST(TcpServerTest, OversizedDeclaredLengthIsRejectedBeforeBuffering) {
   net::TcpServerOptions options;
   options.max_frame_bytes = 1024;
@@ -475,45 +500,64 @@ TEST(TcpServerTest, SlowLorisClientIsDroppedWithoutBlockingOthers) {
   // dropped the moment its bounded send queue would overflow — while other
   // connections keep being served the whole time.
   net::TcpServerOptions options;
-  options.sendq_bytes = 512;
+  options.sendq_bytes = 4096;
   TcpFixture fixture(options);
   ASSERT_TRUE(fixture.Start().ok());
 
+  auto observer = ConnectTo(fixture);
+  ASSERT_NE(observer, nullptr);
+  BoundReads(*observer);
+  ASSERT_TRUE(observer->Call("PING").ok());
+
   auto loris = ConnectTo(fixture);
   ASSERT_NE(loris, nullptr);
-  // Shrink the loris's receive window so the server's kernel-side buffer
-  // fills fast and responses land in the bounded send queue.
+  // Shrink the loris's receive window so replies pile up on the server.
   int tiny = 1;
   ASSERT_EQ(::setsockopt(loris->fd(), SOL_SOCKET, SO_RCVBUF, &tiny,
                          sizeof(tiny)),
             0);
-  std::atomic<bool> loris_done{false};
+  // A server that stops reading would leave the flood's send() blocked
+  // forever; bound it so that regression fails instead of hanging.
+  timeval send_timeout{.tv_sec = 10, .tv_usec = 0};
+  ASSERT_EQ(::setsockopt(loris->fd(), SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                         sizeof(send_timeout)),
+            0);
+
+  // The flood is sized in bytes, not time: each ~1 KB unknown-verb request
+  // draws an ERR reply that echoes the verb, and 16k of them (~16 MB of
+  // replies) overrun any kernel send buffer the server's socket can
+  // autotune to (4 MB by default on Linux) plus the 4 KB cap, so the drop
+  // is certain. The flood ends when a send fails, i.e. once the server has
+  // closed the connection.
+  std::atomic<bool> flood_done{false};
   std::thread flood([&] {
-    // Write request frames until the server drops us (send fails). Bounded
-    // volume so a regression fails the test instead of wedging it.
-    const std::string ping = EncodeFrame(FrameType::kRequest, "PING");
+    const std::string request =
+        EncodeFrame(FrameType::kRequest, std::string(1000, 'X'));
     std::string chunk;
-    for (int i = 0; i < 64; ++i) chunk += ping;
-    for (int i = 0; i < 4096; ++i) {
+    for (int i = 0; i < 16; ++i) chunk += request;
+    for (int i = 0; i < 1024; ++i) {
       if (!loris->SendBytes(chunk).ok()) break;
     }
-    loris_done.store(true);
+    flood_done.store(true);
   });
 
-  // Meanwhile a well-behaved client keeps getting served, and eventually
-  // observes the loris's sendq overflow in the transport telemetry.
-  auto observer = ConnectTo(fixture);
-  ASSERT_NE(observer, nullptr);
-  bool dropped = false;
-  for (int i = 0; i < 2000 && !dropped; ++i) {
-    auto status = observer->Call("STATUS");
-    ASSERT_TRUE(status.ok()) << status.status().ToString();
-    dropped = status->find("tcp_sendq_drops=0") == std::string::npos;
-    if (!dropped) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_TRUE(dropped) << "slow-loris connection was never shed";
+  // A well-behaved client is served for as long as the flood runs.
+  bool served = true;
+  do {
+    auto reply = observer->Call("PING");
+    served = reply.ok() && *reply == "OK pong=1";
+    EXPECT_TRUE(served) << "observer starved during the flood: "
+                        << (reply.ok() ? *reply : reply.status().ToString());
+  } while (served && !flood_done.load());
   flood.join();
-  EXPECT_TRUE(loris_done.load());
+
+  auto status = observer->Call("STATUS");
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  const std::string key = "tcp_sendq_drops=";
+  const size_t at = status->find(key);
+  ASSERT_NE(at, std::string::npos) << *status;
+  EXPECT_GE(std::stoull(status->substr(at + key.size())), 1u)
+      << "slow-loris connection was never shed: " << *status;
   fixture.front->Stop();
 }
 

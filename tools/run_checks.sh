@@ -101,7 +101,8 @@ if [[ "$run_simd" == "1" ]]; then
   # flips tiers internally, but these legs additionally prove every *other*
   # test (training trajectories, checkpoints, server) is tier-invariant.
   echo "==== SIMD dispatch tiers ===="
-  cmake -B build-simd -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+  cmake -B build-simd -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCDBTUNE_WERROR=ON >/dev/null
   cmake --build build-simd -j "$jobs" >/dev/null
   simd_tiers=(scalar)
   if grep -q avx2 /proc/cpuinfo 2>/dev/null && \
